@@ -11,8 +11,7 @@
  * active window plus amplitude damping over the idle gaps inside it.
  * Per-qubit T1/T2 come from the device calibration when one is supplied.
  *
- * This is the one timing model of the codebase; metrics/timing.hpp
- * forwards here for backwards compatibility.
+ * This is the one timing model of the codebase.
  */
 
 #ifndef QAOA_ANALYSIS_TIMING_HPP

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "circuit/decompose.hpp"
 #include "common/error.hpp"
 #include "common/guard.hpp"
 #include "common/stopwatch.hpp"
@@ -11,7 +10,6 @@
 #include "qaoa/profile_stats.hpp"
 #include "qaoa/qaim.hpp"
 #include "transpiler/layout_passes.hpp"
-#include "transpiler/peephole.hpp"
 #include "verify/verifier.hpp"
 
 namespace qaoa::core {
@@ -85,23 +83,22 @@ chooseLayout(Method method, const std::vector<ZZOp> &ops, int num_logical,
  * so the retry ladder can substitute fallback rungs.
  */
 CompileResult
-compileOneShot(const graph::Graph &problem, const hw::CouplingMap &map,
+compileOneShot(const CostHamiltonian &cost, const hw::CouplingMap &map,
                const QaoaCompileOptions &opts, Method method,
                const transpiler::RouterOptions &router,
-               const std::vector<ZZOp> &ops, const Layout &initial,
-               Rng &rng)
+               const Layout &initial, Rng &rng)
 {
-    std::vector<ZZOp> ordered = ops;
+    CostHamiltonian ordered = cost;
     if (method == Method::Ip) {
-        ordered = ipOrder(ops, problem.numNodes(), rng,
-                          opts.packing_limit)
-                      .order;
+        ordered.quadratic = ipOrder(cost.quadratic, cost.num_qubits, rng,
+                                    opts.packing_limit)
+                                .order;
     } else {
-        rng.shuffle(ordered); // random CPHASE sequence
+        rng.shuffle(ordered.quadratic); // random CPHASE sequence
     }
 
-    circuit::Circuit logical = buildQaoaCircuit(
-        problem.numNodes(), ordered, opts.gammas, opts.betas, opts.measure);
+    circuit::Circuit logical =
+        buildQaoaCircuit(ordered, opts.gammas, opts.betas, opts.measure);
 
     CompileOptions copts;
     copts.router = router;
@@ -117,14 +114,14 @@ compileOneShot(const graph::Graph &problem, const hw::CouplingMap &map,
 
 /**
  * Incremental path (IC / VIC): H wall, then per level an incrementally
- * routed cost layer followed by the mixer, stitched on physical qubits.
+ * routed cost layer followed by the linear terms and the mixer at the
+ * updated physical positions, stitched on physical qubits.
  */
 CompileResult
-compileIncremental(const graph::Graph &problem, const hw::CouplingMap &map,
+compileIncremental(const CostHamiltonian &cost, const hw::CouplingMap &map,
                    const QaoaCompileOptions &opts, Method method,
                    const transpiler::RouterOptions &router,
-                   const std::vector<ZZOp> &ops, const Layout &initial,
-                   Rng &rng)
+                   const Layout &initial, Rng &rng)
 {
     graph::DistanceMatrix weighted;
     IncrementalOptions iopts;
@@ -137,7 +134,7 @@ compileIncremental(const graph::Graph &problem, const hw::CouplingMap &map,
         iopts.distances = &weighted;
     }
 
-    const int n = problem.numNodes();
+    const int n = cost.num_qubits;
     circuit::Circuit physical(map.numQubits());
     Layout layout = initial;
 
@@ -149,51 +146,39 @@ compileIncremental(const graph::Graph &problem, const hw::CouplingMap &map,
     for (std::size_t level = 0; level < opts.gammas.size(); ++level) {
         iopts.seed = rng.fork();
         IncrementalResult inc = icCompileCostLayer(
-            ops, map, layout, opts.gammas[level], iopts);
+            cost.quadratic, map, layout, cost.levelAngle(opts.gammas[level]),
+            iopts);
         physical.append(inc.physical);
         layout = inc.final_layout;
         swaps += inc.swap_count;
-        for (int l = 0; l < n; ++l)
-            physical.add(circuit::Gate::rx(layout.physicalOf(l),
-                                           2.0 * opts.betas[level]));
+        appendLevelTail(physical, cost, opts.gammas[level],
+                        opts.betas[level], layout.logToPhys());
     }
     if (opts.measure)
         for (int l = 0; l < n; ++l)
             physical.add(circuit::Gate::measure(layout.physicalOf(l), l));
 
-    if (opts.peephole)
-        physical = transpiler::peepholeOptimize(physical);
-    CompileResult result;
-    result.physical = physical;
-    result.compiled = opts.decompose_to_basis
-                          ? circuit::decomposeToBasis(physical)
-                          : std::move(physical);
-    if (opts.peephole)
-        result.compiled = transpiler::peepholeOptimize(result.compiled);
-    result.initial_layout = initial;
-    result.final_layout = layout;
-    result.report.depth = result.compiled.depth();
-    result.report.gate_count = result.compiled.gateCount();
-    result.report.cx_count =
-        result.compiled.countType(circuit::GateType::CNOT);
-    result.report.swap_count = swaps;
-    return result;
+    CompileOptions copts;
+    copts.decompose_to_basis = opts.decompose_to_basis;
+    copts.peephole = opts.peephole;
+    return transpiler::finishCompile(std::move(physical), initial, layout,
+                                     swaps, copts);
 }
 
 /**
  * The logical ZZ multiset a compiled circuit must realize: one term per
- * cost operation per level, angle = scale * gamma_level * weight (scale
- * is 1 for MaxCut, 2 for Ising quadratic terms).
+ * quadratic term per level, angle = levelAngle(gamma_level) * weight.
  */
 std::vector<verify::ZZTerm>
-expectedInteractions(const std::vector<ZZOp> &ops,
-                     const std::vector<double> &gammas, double scale)
+expectedInteractions(const CostHamiltonian &cost,
+                     const std::vector<double> &gammas)
 {
     std::vector<verify::ZZTerm> terms;
-    terms.reserve(ops.size() * gammas.size());
+    terms.reserve(cost.quadratic.size() * gammas.size());
     for (double gamma : gammas)
-        for (const ZZOp &op : ops)
-            terms.push_back({op.a, op.b, scale * gamma * op.weight});
+        for (const ZZOp &op : cost.quadratic)
+            terms.push_back(
+                {op.a, op.b, cost.levelAngle(gamma) * op.weight});
     return terms;
 }
 
@@ -502,81 +487,56 @@ runLadder(const hw::CouplingMap &map, const QaoaCompileOptions &opts,
                                           : notes.back()));
 }
 
-} // namespace
-
-namespace {
-
 /**
- * Incremental (IC/VIC) compile of an Ising circuit: per level, route the
- * quadratic terms layer-by-layer, then emit the linear RZ terms and the
- * mixer at the updated physical positions.
+ * The one compile pipeline behind every public entry point: argument
+ * contract, usable-region check, retry ladder (layout + one-shot or
+ * incremental path + per-rung verification), quality hook and timing.
  */
 CompileResult
-compileIsingIncremental(const IsingModel &model,
-                        const hw::CouplingMap &map,
-                        const QaoaCompileOptions &opts, Method method,
-                        const transpiler::RouterOptions &router,
-                        const std::vector<ZZOp> &quad, const Layout &initial,
-                        Rng &rng)
+compileCost(const CostHamiltonian &cost, const hw::CouplingMap &map,
+            const QaoaCompileOptions &opts)
 {
-    graph::DistanceMatrix weighted;
-    IncrementalOptions iopts;
-    iopts.packing_limit = opts.packing_limit;
-    iopts.router = router;
-    if (method == Method::Vic) {
-        QAOA_CHECK(opts.calibration != nullptr,
-                   "VIC requires calibration data");
-        weighted = hw::weightedDistances(map, *opts.calibration);
-        iopts.distances = &weighted;
-    }
+    const int n = cost.num_qubits;
+    QAOA_CHECK(n >= 2, "cost Hamiltonian too small: " << n << " qubits");
+    QAOA_CHECK(n <= map.numQubits(),
+               "problem has " << n << " qubits, device " << map.name()
+                              << " has " << map.numQubits() << " qubits");
+    QAOA_CHECK(opts.gammas.size() == opts.betas.size() &&
+                   !opts.gammas.empty(),
+               "need one (gamma, beta) pair per level");
+    QAOA_CHECK(opts.method != Method::Vic || opts.calibration != nullptr,
+               "VIC requires calibration data");
+    QAOA_CHECK(opts.packing_limit >= 1,
+               "packing limit must be >= 1, got " << opts.packing_limit);
 
-    const int n = model.numSpins();
-    circuit::Circuit physical(map.numQubits());
-    Layout layout = initial;
-    for (int l = 0; l < n; ++l)
-        physical.add(circuit::Gate::h(layout.physicalOf(l)));
-
-    int swaps = 0;
-    for (std::size_t level = 0; level < opts.gammas.size(); ++level) {
-        iopts.seed = rng.fork();
-        // CPHASE angle per term is 2*gamma*J — pass 2*gamma as the layer
-        // angle so icCompileCostLayer's gamma*weight product matches
-        // buildIsingQaoaCircuit().
-        IncrementalResult inc = icCompileCostLayer(
-            quad, map, layout, 2.0 * opts.gammas[level], iopts);
-        physical.append(inc.physical);
-        layout = inc.final_layout;
-        swaps += inc.swap_count;
-        for (int l = 0; l < n; ++l) {
-            double h = model.linear(l);
-            if (h != 0.0)
-                physical.add(circuit::Gate::rz(
-                    layout.physicalOf(l), 2.0 * opts.gammas[level] * h));
-        }
-        for (int l = 0; l < n; ++l)
-            physical.add(circuit::Gate::rx(layout.physicalOf(l),
-                                           2.0 * opts.betas[level]));
-    }
-    if (opts.measure)
-        for (int l = 0; l < n; ++l)
-            physical.add(circuit::Gate::measure(layout.physicalOf(l), l));
-
-    if (opts.peephole)
-        physical = transpiler::peepholeOptimize(physical);
+    Stopwatch clock;
     CompileResult result;
-    result.physical = physical;
-    result.compiled = opts.decompose_to_basis
-                          ? circuit::decomposeToBasis(physical)
-                          : std::move(physical);
-    if (opts.peephole)
-        result.compiled = transpiler::peepholeOptimize(result.compiled);
-    result.initial_layout = initial;
-    result.final_layout = layout;
-    result.report.depth = result.compiled.depth();
-    result.report.gate_count = result.compiled.gateCount();
-    result.report.cx_count =
-        result.compiled.countType(circuit::GateType::CNOT);
-    result.report.swap_count = swaps;
+    if (!supportsProgram(map, opts, n, &result))
+        return result;
+
+    const std::vector<verify::ZZTerm> expected =
+        expectedInteractions(cost, opts.gammas);
+    result = runLadder(
+        map, opts,
+        [&](Method method, const transpiler::RouterOptions &router,
+            std::uint64_t seed) {
+            Rng rng(seed);
+            const Layout initial = chooseLayout(
+                method, cost.quadratic, n, map, rng, opts.allowed_qubits);
+            CompileResult attempt =
+                method == Method::Ic || method == Method::Vic
+                    ? compileIncremental(cost, map, opts, method, router,
+                                         initial, rng)
+                    : compileOneShot(cost, map, opts, method, router,
+                                     initial, rng);
+            verifyRung(attempt, map, opts, expected);
+            return attempt;
+        });
+    checkQuality(result, map, opts);
+    result.report.compile_seconds = clock.seconds();
+    if (opts.analyze_quality && result.ok())
+        result.quality.summary.compile_ms =
+            result.report.compile_seconds * 1e3;
     return result;
 }
 
@@ -586,113 +546,14 @@ CompileResult
 compileQaoaIsing(const IsingModel &model, const hw::CouplingMap &map,
                  const QaoaCompileOptions &opts)
 {
-    const int n = model.numSpins();
-    QAOA_CHECK(n >= 2, "Ising model too small");
-    QAOA_CHECK(n <= map.numQubits(),
-               "model has " << n << " spins, device " << map.name()
-                            << " has " << map.numQubits() << " qubits");
-    QAOA_CHECK(opts.gammas.size() == opts.betas.size() &&
-                   !opts.gammas.empty(),
-               "need one (gamma, beta) pair per level");
-    QAOA_CHECK(opts.method != Method::Vic || opts.calibration != nullptr,
-               "VIC requires calibration data");
-
-    Stopwatch clock;
-    CompileResult result;
-    if (!supportsProgram(map, opts, n, &result))
-        return result;
-
-    const std::vector<ZZOp> quad = model.quadraticOps();
-    // CPHASE angle per quadratic term is 2*gamma*J (see
-    // compileIsingIncremental), hence scale 2.
-    const std::vector<verify::ZZTerm> expected =
-        expectedInteractions(quad, opts.gammas, 2.0);
-    result = runLadder(
-        map, opts,
-        [&](Method method, const transpiler::RouterOptions &router,
-            std::uint64_t seed) {
-            Rng rng(seed);
-            const Layout initial = chooseLayout(method, quad, n, map, rng,
-                                                opts.allowed_qubits);
-            CompileResult attempt;
-            if (method == Method::Ic || method == Method::Vic) {
-                attempt = compileIsingIncremental(
-                    model, map, opts, method, router, quad, initial, rng);
-            } else {
-                std::vector<ZZOp> ordered = quad;
-                if (method == Method::Ip)
-                    ordered =
-                        ipOrder(quad, n, rng, opts.packing_limit).order;
-                else
-                    rng.shuffle(ordered);
-                circuit::Circuit logical = buildIsingQaoaCircuit(
-                    model, ordered, opts.gammas, opts.betas, opts.measure);
-                CompileOptions copts;
-                copts.router = router;
-                copts.router.seed = rng.fork();
-                copts.decompose_to_basis = opts.decompose_to_basis;
-                copts.layered_routing = true;
-                copts.peephole = opts.peephole;
-                attempt = transpiler::compileCircuit(logical, map, initial,
-                                                     copts);
-            }
-            verifyRung(attempt, map, opts, expected);
-            return attempt;
-        });
-    checkQuality(result, map, opts);
-    result.report.compile_seconds = clock.seconds();
-    if (opts.analyze_quality && result.ok())
-        result.quality.summary.compile_ms =
-            result.report.compile_seconds * 1e3;
-    return result;
+    return compileCost(costHamiltonian(model), map, opts);
 }
 
 CompileResult
 compileQaoaMaxcut(const graph::Graph &problem, const hw::CouplingMap &map,
                   const QaoaCompileOptions &opts)
 {
-    QAOA_CHECK(problem.numNodes() >= 2, "problem graph too small");
-    QAOA_CHECK(problem.numNodes() <= map.numQubits(),
-               "problem has " << problem.numNodes() << " nodes, device "
-                              << map.name() << " has " << map.numQubits()
-                              << " qubits");
-    QAOA_CHECK(opts.gammas.size() == opts.betas.size() &&
-                   !opts.gammas.empty(),
-               "need one (gamma, beta) pair per level");
-    QAOA_CHECK(opts.method != Method::Vic || opts.calibration != nullptr,
-               "VIC requires calibration data");
-
-    Stopwatch clock;
-    const int n = problem.numNodes();
-    CompileResult result;
-    if (!supportsProgram(map, opts, n, &result))
-        return result;
-
-    const std::vector<ZZOp> ops = costOperations(problem);
-    const std::vector<verify::ZZTerm> expected =
-        expectedInteractions(ops, opts.gammas, 1.0);
-    result = runLadder(
-        map, opts,
-        [&](Method method, const transpiler::RouterOptions &router,
-            std::uint64_t seed) {
-            Rng rng(seed);
-            const Layout initial = chooseLayout(method, ops, n, map, rng,
-                                                opts.allowed_qubits);
-            CompileResult attempt =
-                method == Method::Ic || method == Method::Vic
-                    ? compileIncremental(problem, map, opts, method,
-                                         router, ops, initial, rng)
-                    : compileOneShot(problem, map, opts, method, router,
-                                     ops, initial, rng);
-            verifyRung(attempt, map, opts, expected);
-            return attempt;
-        });
-    checkQuality(result, map, opts);
-    result.report.compile_seconds = clock.seconds();
-    if (opts.analyze_quality && result.ok())
-        result.quality.summary.compile_ms =
-            result.report.compile_seconds * 1e3;
-    return result;
+    return compileCost(costHamiltonian(problem), map, opts);
 }
 
 } // namespace qaoa::core

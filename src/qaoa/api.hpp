@@ -48,7 +48,7 @@ std::string methodName(Method m);
  */
 Method methodFromName(const std::string &name);
 
-/** Options for compileQaoaMaxcut(). */
+/** Options for compileQaoaMaxcut() and compileQaoaIsing(). */
 struct QaoaCompileOptions
 {
     Method method = Method::Ic;
@@ -59,7 +59,8 @@ struct QaoaCompileOptions
     /** Mixer angles, one per level. */
     std::vector<double> betas{0.35};
 
-    /** Maximum CPHASE operations per layer for IP/IC/VIC (§V-H). */
+    /** Maximum CPHASE operations per layer for IP/IC/VIC (§V-H);
+     *  must be >= 1 for every method. */
     int packing_limit = 1 << 30;
 
     /** Master seed (instance-level determinism). */
@@ -161,7 +162,7 @@ struct QaoaCompileOptions
  *
  * @throws std::runtime_error only for argument-contract violations:
  *         VIC without calibration data, a problem larger than the whole
- *         device, or mismatched angle vectors.
+ *         device, mismatched angle vectors, or a packing limit below 1.
  */
 transpiler::CompileResult compileQaoaMaxcut(const graph::Graph &problem,
                                             const hw::CouplingMap &map,
@@ -171,9 +172,12 @@ transpiler::CompileResult compileQaoaMaxcut(const graph::Graph &problem,
  * Compiles the QAOA circuit of an arbitrary Ising cost Hamiltonian
  * (§VI "Applicability beyond QAOA-MaxCut") with the chosen methodology.
  *
- * The quadratic (CPHASE) terms flow through the same QAIM / IP / IC /
- * VIC machinery as MaxCut; linear terms compile to virtual RZ rotations
- * at the qubits' post-cost-layer positions.
+ * Both entry points run one pipeline over a CostHamiltonian (MaxCut
+ * is the scale-1 case without linear terms), so the quadratic (CPHASE)
+ * terms flow through the same QAIM / IP / IC / VIC machinery, linear
+ * terms compile to virtual RZ rotations at the qubits' post-cost-layer
+ * positions, and status, fallbacks and contract are those of
+ * compileQaoaMaxcut().
  */
 transpiler::CompileResult compileQaoaIsing(const IsingModel &model,
                                            const hw::CouplingMap &map,

@@ -81,11 +81,16 @@ class IsingModel
 };
 
 /**
- * Builds the level-p QAOA circuit for an Ising cost Hamiltonian.
- *
- * Per level with angle γ: CPHASE(2γ·J_ik) per quadratic term and
- * RZ(2γ·h_i) per linear term, then the RX(2β) mixer.  The quadratic
- * terms follow @p quad_order (the IP/IC re-ordering hook); pass
+ * The compiler's view of @p model: {numSpins(), quadraticOps(), every
+ * h_i, 2} — per level with angle γ, CPHASE(2γ·J_ik) per non-zero
+ * quadratic term and RZ(2γ·h_i) per non-zero linear term.
+ */
+CostHamiltonian costHamiltonian(const IsingModel &model);
+
+/**
+ * Builds the level-p QAOA circuit for an Ising cost Hamiltonian:
+ * buildQaoaCircuit() of costHamiltonian(model) with the quadratic terms
+ * in @p quad_order (the IP/IC re-ordering hook); pass
  * model.quadraticOps() for the natural order.
  */
 circuit::Circuit buildIsingQaoaCircuit(const IsingModel &model,

@@ -1,5 +1,7 @@
 #include "qaoa/problem.hpp"
 
+#include <numeric>
+
 #include "common/error.hpp"
 
 namespace qaoa::core {
@@ -14,8 +16,27 @@ costOperations(const graph::Graph &problem)
     return ops;
 }
 
+CostHamiltonian
+costHamiltonian(const graph::Graph &problem)
+{
+    return {problem.numNodes(), costOperations(problem), {}, 1.0};
+}
+
+void
+appendLevelTail(circuit::Circuit &c, const CostHamiltonian &cost,
+                double gamma, double beta, const std::vector<int> &wire)
+{
+    const double angle = cost.levelAngle(gamma);
+    for (std::size_t q = 0; q < cost.linear.size(); ++q)
+        if (cost.linear[q] != 0.0)
+            c.add(circuit::Gate::rz(wire[q], angle * cost.linear[q]));
+    for (int q = 0; q < cost.num_qubits; ++q)
+        c.add(circuit::Gate::rx(wire[static_cast<std::size_t>(q)],
+                                2.0 * beta));
+}
+
 circuit::Circuit
-buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
+buildQaoaCircuit(const CostHamiltonian &cost,
                  const std::vector<double> &gammas,
                  const std::vector<double> &betas, bool measure)
 {
@@ -25,20 +46,32 @@ buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
                    << " betas");
     QAOA_CHECK(!gammas.empty(), "QAOA needs at least one level");
 
-    circuit::Circuit c(num_qubits);
-    for (int q = 0; q < num_qubits; ++q)
+    const int n = cost.num_qubits;
+    std::vector<int> identity(static_cast<std::size_t>(n));
+    std::iota(identity.begin(), identity.end(), 0);
+
+    circuit::Circuit c(n);
+    for (int q = 0; q < n; ++q)
         c.add(circuit::Gate::h(q));
     for (std::size_t level = 0; level < gammas.size(); ++level) {
-        for (const ZZOp &op : cost_ops)
-            c.add(circuit::Gate::cphase(op.a, op.b,
-                                        gammas[level] * op.weight));
-        for (int q = 0; q < num_qubits; ++q)
-            c.add(circuit::Gate::rx(q, 2.0 * betas[level]));
+        const double angle = cost.levelAngle(gammas[level]);
+        for (const ZZOp &op : cost.quadratic)
+            c.add(circuit::Gate::cphase(op.a, op.b, angle * op.weight));
+        appendLevelTail(c, cost, gammas[level], betas[level], identity);
     }
     if (measure)
-        for (int q = 0; q < num_qubits; ++q)
+        for (int q = 0; q < n; ++q)
             c.add(circuit::Gate::measure(q, q));
     return c;
+}
+
+circuit::Circuit
+buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
+                 const std::vector<double> &gammas,
+                 const std::vector<double> &betas, bool measure)
+{
+    return buildQaoaCircuit(CostHamiltonian{num_qubits, cost_ops, {}, 1.0},
+                            gammas, betas, measure);
 }
 
 circuit::Circuit

@@ -253,6 +253,8 @@ requestFromRecord(const kv::Record &record, int max_nodes)
                "request: gammas/betas must be non-empty and equal-length");
     if (record.has("packing"))
         r.packing_limit = std::stoi(record.get("packing"));
+    QAOA_CHECK(r.packing_limit >= 1,
+               "request: packing must be >= 1, got " << r.packing_limit);
     if (record.has("seed"))
         r.seed = std::stoull(record.get("seed"));
     if (record.has("dead_qubits"))

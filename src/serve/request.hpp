@@ -77,8 +77,8 @@ void requestToRecord(const CompileRequest &request, kv::Record &out);
 
 /**
  * Decodes a wire record into a request.  Unknown device/method names
- * are rejected here (before the request is admitted), as are graphs
- * beyond @p max_nodes.
+ * and packing limits below 1 are rejected here (before the request is
+ * admitted), as are graphs beyond @p max_nodes.
  *
  * @throws std::runtime_error on malformed or out-of-contract fields.
  */

@@ -19,7 +19,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
-#include "metrics/timing.hpp"
+#include "analysis/timing.hpp"
 #include "sim/statevector.hpp"
 
 namespace qaoa::sim {
@@ -30,7 +30,7 @@ struct ThermalParams
     double t1_ns = 90000.0; ///< Amplitude-damping time constant.
     double t2_ns = 70000.0; ///< Total dephasing time constant (<= 2 T1).
 
-    metrics::GateDurations durations; ///< Per-gate dt source.
+    analysis::GateDurations durations; ///< Per-gate dt source.
 
     /** Probability of a relaxation jump during a gate of length dt. */
     double relaxProbability(double dt_ns) const;

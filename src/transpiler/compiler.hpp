@@ -148,6 +148,18 @@ CompileResult compileCircuit(const circuit::Circuit &logical,
                              const Layout &initial,
                              const CompileOptions &options = {});
 
+/**
+ * The shared end of every compile of a routed circuit: peephole on
+ * @p physical (when options.peephole), basis translation (when
+ * options.decompose_to_basis), peephole again, then the layouts and
+ * the §V-A counts.  compileCircuit() and the incremental IC/VIC path
+ * both end here.  Status stays Ok and compile_seconds stays 0; the
+ * caller owns both.
+ */
+CompileResult finishCompile(circuit::Circuit physical, const Layout &initial,
+                            const Layout &final_layout, int swap_count,
+                            const CompileOptions &options);
+
 } // namespace qaoa::transpiler
 
 #endif // QAOA_TRANSPILER_COMPILER_HPP

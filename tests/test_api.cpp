@@ -9,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "hardware/devices.hpp"
 #include "qaoa/api.hpp"
+#include "qaoa/ising.hpp"
 #include "transpiler/router.hpp"
 
 namespace qaoa::core {
@@ -123,6 +124,30 @@ TEST(Api, RejectsMismatchedAngles)
     opts.gammas = {0.1, 0.2};
     opts.betas = {0.1};
     EXPECT_THROW(compileQaoaMaxcut(g, lin, opts), std::runtime_error);
+}
+
+TEST(Api, RejectsPackingLimitBelowOneForEveryMethod)
+{
+    // A packing limit below 1 is a contract violation for every method
+    // and both entry points, never a silent fallback to QAIM.
+    hw::CouplingMap grid = hw::gridDevice(3, 3);
+    hw::CalibrationData calib(grid, 0.02);
+    graph::Graph g = graph::cycleGraph(5);
+    IsingModel ising = maxcutToIsing(g);
+    for (Method method : kAllMethods) {
+        for (int limit : {0, -3}) {
+            QaoaCompileOptions opts;
+            opts.method = method;
+            opts.calibration = &calib;
+            opts.packing_limit = limit;
+            EXPECT_THROW(compileQaoaMaxcut(g, grid, opts),
+                         std::runtime_error)
+                << methodName(method) << " packing " << limit;
+            EXPECT_THROW(compileQaoaIsing(ising, grid, opts),
+                         std::runtime_error)
+                << methodName(method) << " packing " << limit;
+        }
+    }
 }
 
 TEST(Api, DeterministicForFixedSeed)

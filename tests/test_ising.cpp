@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
 #include "hardware/devices.hpp"
+#include "hardware/faults.hpp"
 #include "metrics/harness.hpp"
 #include "qaoa/api.hpp"
 #include "qaoa/ising.hpp"
@@ -159,29 +160,75 @@ TEST(IsingCircuit, LinearTermsShiftPhases)
 
 TEST(IsingCompile, AllMethodsPreserveDistribution)
 {
-    // Vertex cover on a 4-node path: linear + quadratic terms exercise
-    // the full Ising path through compilation.
-    graph::Graph path = graph::pathGraph(4);
-    IsingModel m = vertexCoverToIsing(path, 2.5);
-    hw::CouplingMap grid = hw::gridDevice(2, 3);
-    hw::CalibrationData calib(grid, 0.02);
+    // Vertex cover models: linear + quadratic terms exercise the full
+    // Ising path through compilation.  Beyond p = 1 on a healthy grid,
+    // K4 forces SWAPs, so at p = 2 the linear RZs of the second level
+    // must follow IC's layout as it moves (a per-spin bias makes every
+    // h_i distinct, so an RZ on the wrong qubit shows); the last input
+    // compiles on a fault-masked device (placement confined to
+    // usable()).
+    const IsingModel path_cover =
+        vertexCoverToIsing(graph::pathGraph(4), 2.5);
+    IsingModel k4_cover = vertexCoverToIsing(graph::completeGraph(4), 2.5);
+    for (int i = 0; i < 4; ++i)
+        k4_cover.addLinear(i, 0.15 * i);
+    const hw::CouplingMap grid = hw::gridDevice(2, 3);
+    const hw::CalibrationData calib(grid, 0.02);
+    const hw::CouplingMap grid24 = hw::gridDevice(2, 4);
+    const hw::CalibrationData calib24(grid24, 0.02);
+    hw::FaultSpec spec;
+    spec.dead_qubits = {1};
+    spec.disabled_edges = {{6, 7}};
+    const hw::FaultInjector faulty(grid24, spec, &calib24);
 
-    circuit::Circuit logical = buildIsingQaoaCircuit(
-        m, m.quadraticOps(), {0.6}, {0.25}, true);
-    auto expected = testutil::exactClassicalDistribution(logical);
+    struct Input
+    {
+        const char *name;
+        const IsingModel *model;
+        const hw::CouplingMap *map;
+        const hw::CalibrationData *calib;
+        const std::vector<char> *allowed;
+        std::vector<double> gammas;
+        std::vector<double> betas;
+    };
+    const Input inputs[] = {
+        {"path p=1 healthy", &path_cover, &grid, &calib, nullptr, {0.6},
+         {0.25}},
+        {"K4 p=2 healthy", &k4_cover, &grid, &calib, nullptr, {0.6, 0.3},
+         {0.25, 0.4}},
+        {"K4 p=2 fault-masked", &k4_cover, &faulty.map(),
+         &faulty.calibration(), &faulty.usable(), {0.6, 0.3}, {0.25, 0.4}},
+    };
+    for (const Input &in : inputs) {
+        const IsingModel &m = *in.model;
+        circuit::Circuit logical = buildIsingQaoaCircuit(
+            m, m.quadraticOps(), in.gammas, in.betas, true);
+        auto expected = testutil::exactClassicalDistribution(logical);
 
-    for (Method method : {Method::Naive, Method::GreedyV, Method::Qaim,
-                          Method::Ip, Method::Ic, Method::Vic}) {
-        QaoaCompileOptions opts;
-        opts.method = method;
-        opts.calibration = &calib;
-        opts.gammas = {0.6};
-        opts.betas = {0.25};
-        transpiler::CompileResult r = compileQaoaIsing(m, grid, opts);
-        EXPECT_TRUE(transpiler::satisfiesCoupling(r.compiled, grid));
-        auto actual = testutil::exactClassicalDistribution(r.compiled);
-        EXPECT_LT(testutil::totalVariation(expected, actual), 1e-9)
-            << methodName(method);
+        for (Method method : {Method::Naive, Method::GreedyV, Method::Qaim,
+                              Method::Ip, Method::Ic, Method::Vic}) {
+            QaoaCompileOptions opts;
+            opts.method = method;
+            opts.calibration = in.calib;
+            opts.allowed_qubits = in.allowed;
+            opts.gammas = in.gammas;
+            opts.betas = in.betas;
+            transpiler::CompileResult r = compileQaoaIsing(m, *in.map, opts);
+            ASSERT_TRUE(r.ok()) << in.name << " " << methodName(method)
+                                << ": " << r.failure_reason;
+            EXPECT_TRUE(transpiler::satisfiesCoupling(r.compiled, *in.map))
+                << in.name << " " << methodName(method);
+            if (in.allowed) {
+                for (const circuit::Gate &g : r.compiled.gates())
+                    EXPECT_TRUE((*in.allowed)[static_cast<std::size_t>(
+                        g.q0)])
+                        << in.name << " " << methodName(method)
+                        << " touches masked qubit " << g.q0;
+            }
+            auto actual = testutil::exactClassicalDistribution(r.compiled);
+            EXPECT_LT(testutil::totalVariation(expected, actual), 1e-9)
+                << in.name << " " << methodName(method);
+        }
     }
 }
 

@@ -374,6 +374,26 @@ TEST(RequestTest, DecoderRejectsBadRequests)
     }
 }
 
+TEST(RequestTest, DecoderRejectsPackingBelowOne)
+{
+    // Admission-time check: packing < 1 used to be admitted, compiled
+    // with the QAIM fallback instead of the requested method, and
+    // cached.
+    for (int packing : {0, -3}) {
+        CompileRequest request = smallRequest();
+        request.packing_limit = packing;
+        kv::Record rec;
+        serve::requestToRecord(request, rec);
+        const StatusOr<CompileRequest> decoded =
+            serve::tryRequestFromRecord(rec);
+        ASSERT_FALSE(decoded.ok()) << "packing=" << packing;
+        EXPECT_EQ(decoded.status().code(), qaoa::ErrorCode::InvalidArgument)
+            << "packing=" << packing;
+        EXPECT_NE(decoded.status().message().find("packing"),
+                  std::string::npos);
+    }
+}
+
 TEST(RequestTest, DecoderRejectsEmptyItemsInLists)
 {
     const auto with_field = [](const std::string &key,
@@ -1201,6 +1221,30 @@ TEST(ServerTest, WorkerThrowBecomesStructuredErrorAndServingContinues)
         EXPECT_EQ(r.type, "result") << r.error;
         EXPECT_TRUE(r.hasCircuit());
     }
+    server.stop();
+}
+
+TEST(ServerTest, PackingBelowOneIsAnErrorAndNothingIsCached)
+{
+    // A request that bypasses the decoder still hits the library's
+    // contract check: an error frame, and no cache entry.
+    ServerConfig config;
+    config.workers = 1;
+    ResponseSink sink;
+    CompileServer server(config);
+    server.start();
+    CompileRequest request = smallRequest("packing-zero");
+    request.packing_limit = 0;
+    server.submit(request, sink.fn());
+    ASSERT_TRUE(sink.await(1));
+    {
+        std::lock_guard<std::mutex> lock(sink.mutex);
+        const ServeResponse &r = sink.responses[0];
+        EXPECT_EQ(r.type, "error");
+        EXPECT_EQ(r.error_code, "invalid_argument");
+        EXPECT_FALSE(r.hasCircuit());
+    }
+    EXPECT_EQ(server.stats().cache.entries, 0u);
     server.stop();
 }
 

@@ -6,10 +6,10 @@
 
 #include "graph/generators.hpp"
 #include "hardware/devices.hpp"
-#include "metrics/timing.hpp"
+#include "analysis/timing.hpp"
 #include "qaoa/api.hpp"
 
-namespace qaoa::metrics {
+namespace qaoa::analysis {
 namespace {
 
 using circuit::Circuit;
@@ -121,4 +121,4 @@ TEST(Timing, ShallowCompilationRunsFaster)
 }
 
 } // namespace
-} // namespace qaoa::metrics
+} // namespace qaoa::analysis
