@@ -43,7 +43,8 @@ class Table
     /** Renders the table (header, rule, rows) to the stream. */
     void print(std::ostream &os) const;
 
-    /** Renders as comma-separated values (for scripting). */
+    /** Renders as comma-separated values (for scripting); cells holding
+     *  a comma, quote or line break are quoted per RFC 4180. */
     void printCsv(std::ostream &os) const;
 
     /** Number of data rows added so far. */

@@ -194,6 +194,17 @@ TEST(Table, CsvOutput)
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
+TEST(Table, CsvQuotesCellsPerRfc4180)
+{
+    Table t({"a", "b"});
+    t.addRow({"q0,q5", "say \"hi\""});
+    t.addRow({"two\nlines", "plain"});
+    std::ostringstream os;
+    t.printCsv(os);
+    EXPECT_EQ(os.str(), "a,b\n\"q0,q5\",\"say \"\"hi\"\"\"\n"
+                        "\"two\nlines\",plain\n");
+}
+
 TEST(Table, RejectsMismatchedRow)
 {
     Table t({"a", "b"});
