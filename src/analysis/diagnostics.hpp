@@ -1,27 +1,27 @@
 /**
  * @file
- * Structured diagnostics for the static circuit-quality linter.
+ * Rule catalogue of the static circuit-quality linter.
  *
- * Quality findings are reported as Finding records with a stable rule ID
- * (QL101...), a severity, and the gate/layer source location — the same
- * shape as the verifier's QV diagnostics (verify/diagnostics.hpp), so CLI
- * and CI output from both subsystems stay uniform.  The catalogues are
- * deliberately disjoint: QV rules certify *correctness* (the compiled
- * circuit computes the right thing), QL rules measure *quality* (the
- * compiled circuit wastes gates, time, or fidelity).  A circuit can be QV
- * clean and QL dirty, and vice versa.
+ * Quality findings are reported through the shared common/diagnostics
+ * report with a stable rule ID (QL101...), a severity, and the gate/layer
+ * source location, exactly as the verifier's QV rules
+ * (verify/diagnostics.hpp).  The catalogues are deliberately disjoint:
+ * QV rules certify *correctness* (the compiled circuit computes the right
+ * thing), QL rules measure *quality* (the compiled circuit wastes gates,
+ * time, or fidelity).  A circuit can be QV clean and QL dirty, and vice
+ * versa.
  */
 
 #ifndef QAOA_ANALYSIS_DIAGNOSTICS_HPP
 #define QAOA_ANALYSIS_DIAGNOSTICS_HPP
 
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "common/table.hpp"
+#include "common/diagnostics.hpp"
 
 namespace qaoa::analysis {
+
+/** Aggregated findings of one lint run; the linter's failure bar is
+ *  clean(Severity::Warning), its strict bar spotless(). */
+using LintReport = DiagnosticReport;
 
 /**
  * Quality-rule catalogue (stable IDs; never renumber, only append).
@@ -31,120 +31,59 @@ namespace qaoa::analysis {
  * never emit (removable gates); infos are advisory cost-model signals
  * that healthy circuits may legitimately carry.
  */
-enum class Rule {
-    MergeableRz,         ///< QL101: adjacent RZ/U1 rotations on one qubit
-                         ///< with nothing between them (mergeable).
-    MergeableCphase,     ///< QL102: adjacent CPHASE/CZ on the same pair
-                         ///< with no interposed gate (angles add).
-    CancellingCnot,      ///< QL103: adjacent identical CNOT pair (cancels
-                         ///< to identity).
-    CancellingSwap,      ///< QL104: adjacent SWAP-SWAP on the same pair
-                         ///< (info: the stock layered router emits these;
-                         ///< the peephole pass removes them).
-    TrailingSwap,        ///< QL105: SWAP followed only by 1q gates and
-                         ///< measurements on both wires (relabel instead).
-    RedundantHadamard,   ///< QL106: adjacent H-H pair on one qubit.
-    ZeroRotation,        ///< QL107: RZ/U1/CPHASE with angle = 0 (mod 2pi).
-    UnreliableEdge,      ///< QL108: 2q gate on an edge when a strictly
-                         ///< more reliable route existed under the
-                         ///< current mapping.
-    LongIdleWindow,      ///< QL109: idle gap on an active qubit exceeding
-                         ///< the T2 budget fraction.
-    DecoherenceExposure, ///< QL110: qubit active window exceeding the T2
-                         ///< budget fraction.
-    CrosstalkClash,      ///< QL111: known crosstalk pair co-scheduled in
-                         ///< one layer.
-    DepthHotspot,        ///< QL112: one qubit's gate chain dominates the
-                         ///< circuit depth.
-    LowParallelism,      ///< QL113: average layer occupancy far below the
-                         ///< used-qubit count.
-    SwapOverhead,        ///< QL114: routing SWAP overhead above threshold
-                         ///< of the 2q gate count.
-    BudgetViolation,     ///< QL115: an explicit --budget bar was missed.
-};
-
-/** Stable rule ID, e.g. "QL101". */
-const char *ruleId(Rule r);
-
-/** Short kebab-case rule name, e.g. "mergeable-rz". */
-const char *ruleName(Rule r);
-
-/** Finding severity. */
-enum class Severity {
-    Info,    ///< Advisory cost-model signal; never fails clean().
-    Warning, ///< Wasteful structure; fails clean() at the default bar.
-    Error,   ///< Explicit budget violation; always fails clean().
-};
-
-/** "info" / "warning" / "error". */
-const char *severityName(Severity s);
-
-/** The severity each rule carries by default. */
-Severity ruleSeverity(Rule r);
-
-/** One linter finding, anchored to a gate when one is implicated. */
-struct Finding
+struct Rule
 {
-    Rule rule = Rule::MergeableRz;
-    Severity severity = Severity::Warning;
-    int gate_index = -1; ///< Index into circuit.gates(); -1 = whole-circuit.
-    int layer = -1;      ///< ASAP layer of the gate; -1 when not located.
-    int q0 = -1;         ///< Implicated qubit (physical unless noted).
-    int q1 = -1;         ///< Second implicated qubit; -1 when unused.
-    std::string message; ///< Human-readable detail.
-};
-
-/**
- * Aggregated findings of one lint run.
- *
- * clean(min) is parameterized by the failure bar: the default bar
- * (Warning) tolerates infos, the strict bar (Info) tolerates nothing.
- */
-class LintReport
-{
-  public:
-    /** Appends a fully built finding. */
-    void add(Finding f);
-
-    /** Builds and appends a finding with the rule's default severity. */
-    void add(Rule rule, int gate_index, int layer, int q0, int q1,
-             std::string message);
-
-    /** Appends a whole-circuit finding (no gate location). */
-    void add(Rule rule, std::string message);
-
-    /** Moves every finding of @p other into this report. */
-    void merge(LintReport other);
-
-    /** All findings in detection order. */
-    const std::vector<Finding> &findings() const { return findings_; }
-
-    /** Number of findings at exactly @p s. */
-    int countSeverity(Severity s) const;
-
-    /** Findings carrying @p rule. */
-    int count(Rule rule) const;
-
-    /** True when no finding reaches severity @p min. */
-    bool clean(Severity min = Severity::Warning) const;
-
-    /** True when nothing at all was found. */
-    bool spotless() const { return findings_.empty(); }
-
-    /** One-line digest, e.g. "1 error, 2 infos (QL109 x2, QL115)". */
-    std::string summary() const;
-
-    /** Findings as a common/table (rule, name, severity, gate, layer,
-     *  qubits, detail) for text or CSV rendering. */
-    Table toTable() const;
-
-    /** Renders the findings table plus the summary line. */
-    void print(std::ostream &os, bool csv = false) const;
-
-  private:
-    std::vector<Finding> findings_;
-    int errors_ = 0;
-    int warnings_ = 0;
+    /** Adjacent RZ/U1 rotations on one qubit with nothing between them
+     *  (mergeable). */
+    static constexpr RuleInfo MergeableRz{"QL101", "mergeable-rz",
+                                          Severity::Warning};
+    /** Adjacent CPHASE/CZ on the same pair with no interposed gate
+     *  (angles add). */
+    static constexpr RuleInfo MergeableCphase{"QL102", "mergeable-cphase",
+                                              Severity::Warning};
+    /** Adjacent identical CNOT pair (cancels to identity). */
+    static constexpr RuleInfo CancellingCnot{"QL103", "cancelling-cnot",
+                                             Severity::Warning};
+    /** Adjacent SWAP-SWAP on the same pair.  Advisory: the paper-faithful
+     *  layered router legitimately emits these on sparse topologies (the
+     *  peephole pass removes them when enabled). */
+    static constexpr RuleInfo CancellingSwap{"QL104", "cancelling-swap",
+                                             Severity::Info};
+    /** SWAP followed only by 1q gates and measurements on both wires
+     *  (relabel instead). */
+    static constexpr RuleInfo TrailingSwap{"QL105", "trailing-swap",
+                                           Severity::Warning};
+    /** Adjacent H-H pair on one qubit. */
+    static constexpr RuleInfo RedundantHadamard{
+        "QL106", "redundant-hadamard", Severity::Warning};
+    /** RZ/U1/CPHASE with angle = 0 (mod 2pi). */
+    static constexpr RuleInfo ZeroRotation{"QL107", "zero-rotation",
+                                           Severity::Warning};
+    /** 2q gate on an edge when a strictly more reliable route existed
+     *  under the current mapping. */
+    static constexpr RuleInfo UnreliableEdge{"QL108", "unreliable-edge",
+                                             Severity::Info};
+    /** Idle gap on an active qubit exceeding the T2 budget fraction. */
+    static constexpr RuleInfo LongIdleWindow{"QL109", "long-idle-window",
+                                             Severity::Info};
+    /** Qubit active window exceeding the T2 budget fraction. */
+    static constexpr RuleInfo DecoherenceExposure{
+        "QL110", "decoherence-exposure", Severity::Info};
+    /** Known crosstalk pair co-scheduled in one layer. */
+    static constexpr RuleInfo CrosstalkClash{"QL111", "crosstalk-clash",
+                                             Severity::Warning};
+    /** One qubit's gate chain dominates the circuit depth. */
+    static constexpr RuleInfo DepthHotspot{"QL112", "depth-hotspot",
+                                           Severity::Info};
+    /** Average layer occupancy far below the used-qubit count. */
+    static constexpr RuleInfo LowParallelism{"QL113", "low-parallelism",
+                                             Severity::Info};
+    /** Routing SWAP overhead above threshold of the 2q gate count. */
+    static constexpr RuleInfo SwapOverhead{"QL114", "swap-overhead",
+                                           Severity::Info};
+    /** An explicit --budget bar was missed. */
+    static constexpr RuleInfo BudgetViolation{"QL115", "budget-violation",
+                                              Severity::Error};
 };
 
 } // namespace qaoa::analysis

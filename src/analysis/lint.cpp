@@ -316,11 +316,11 @@ lintShape(const CircuitDag &dag, const LintOptions &options,
 
 } // namespace
 
-std::vector<Finding>
+std::vector<Diagnostic>
 findCrosstalkClashes(const circuit::Circuit &physical,
                      const std::vector<CrosstalkPair> &pairs)
 {
-    std::vector<Finding> clashes;
+    std::vector<Diagnostic> clashes;
     if (pairs.empty())
         return clashes;
     const CircuitDag dag(physical);
@@ -342,19 +342,12 @@ findCrosstalkClashes(const circuit::Circuit &physical,
                 if (!couplingsConflict(pairs, normalize(a.q0, a.q1),
                                        normalize(b.q0, b.q1)))
                     continue;
-                Finding f;
-                f.rule = Rule::CrosstalkClash;
-                f.severity = ruleSeverity(f.rule);
-                f.gate_index = layer[j];
-                f.layer = static_cast<int>(li);
-                f.q0 = b.q0;
-                f.q1 = b.q1;
-                f.message = "co-scheduled with " +
-                            gates[static_cast<std::size_t>(layer[i])]
-                                .toString() +
-                            " (gate " + std::to_string(layer[i]) +
-                            ") on a crosstalk-prone coupling pair";
-                clashes.push_back(std::move(f));
+                clashes.push_back(
+                    {Rule::CrosstalkClash, Rule::CrosstalkClash.severity,
+                     layer[j], static_cast<int>(li), b.q0, b.q1,
+                     "co-scheduled with " + a.toString() + " (gate " +
+                         std::to_string(layer[i]) +
+                         ") on a crosstalk-prone coupling pair"});
             }
         }
     }
@@ -370,9 +363,9 @@ lintCircuit(const circuit::Circuit &physical, const LintOptions &options)
     lintUnreliableEdges(dag, options, report);
     lintTiming(dag, options, report);
     lintShape(dag, options, report);
-    for (Finding &f : findCrosstalkClashes(physical,
-                                           options.crosstalk_pairs))
-        report.add(std::move(f));
+    for (Diagnostic &d : findCrosstalkClashes(physical,
+                                              options.crosstalk_pairs))
+        report.add(std::move(d));
     return report;
 }
 

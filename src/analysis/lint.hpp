@@ -83,9 +83,9 @@ struct LintOptions
  * conflicting coupling pair (ASAP layers); one finding per clash.
  * transpiler::countCrosstalkViolations() is this size.
  */
-std::vector<Finding> findCrosstalkClashes(const circuit::Circuit &physical,
-                                          const std::vector<CrosstalkPair>
-                                              &pairs);
+std::vector<Diagnostic>
+findCrosstalkClashes(const circuit::Circuit &physical,
+                     const std::vector<CrosstalkPair> &pairs);
 
 /**
  * Runs every applicable QL rule over @p physical.

@@ -134,7 +134,7 @@ TEST(Crosstalk, CountAgreesWithAnalysisFindingsSeeded)
         auto findings = analysis::findCrosstalkClashes(c, pairs);
         EXPECT_EQ(countCrosstalkViolations(c, pairs),
                   static_cast<int>(findings.size()));
-        for (const analysis::Finding &f : findings) {
+        for (const Diagnostic &f : findings) {
             EXPECT_EQ(f.rule, analysis::Rule::CrosstalkClash);
             EXPECT_GE(f.layer, 0);
             EXPECT_GE(f.gate_index, 0);

@@ -66,7 +66,7 @@ TEST(LintRules, Ql104CancellingSwapIsInfo)
     LintReport r = lintCircuit(c);
     EXPECT_GE(r.count(Rule::CancellingSwap), 1);
     // Advisory only: the stock router emits these on sparse devices.
-    EXPECT_EQ(ruleSeverity(Rule::CancellingSwap), Severity::Info);
+    EXPECT_EQ(Rule::CancellingSwap.severity, Severity::Info);
 }
 
 TEST(LintRules, Ql105TrailingSwap)
@@ -209,7 +209,7 @@ TEST(LintRules, Ql115BudgetViolation)
     s.swap_count = 3;
     LintReport r = checkBudget(s, budget);
     EXPECT_EQ(r.count(Rule::BudgetViolation), 1);
-    EXPECT_EQ(r.countSeverity(Severity::Error), 1);
+    EXPECT_EQ(r.count(Severity::Error), 1);
     EXPECT_FALSE(r.clean(Severity::Error));
 }
 

@@ -529,7 +529,7 @@ runCompile(int argc, char **argv)
             spec.ignore_zero_interactions = peephole;
             verify::VerifyReport report =
                 verify::verifyCircuit(r.physical, spec);
-            report.print(std::cout, verify_csv);
+            report.print(std::cout, "verification", verify_csv);
             const bool pass =
                 verify_strict ? report.spotless() : report.clean();
             if (!pass) {

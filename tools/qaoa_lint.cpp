@@ -84,15 +84,15 @@ usage()
            "  --dead-qubits LIST / --disable-edges LIST\n";
 }
 
-analysis::Severity
+Severity
 parseSeverity(const std::string &name)
 {
     if (name == "info")
-        return analysis::Severity::Info;
+        return Severity::Info;
     if (name == "warning")
-        return analysis::Severity::Warning;
+        return Severity::Warning;
     if (name == "error")
-        return analysis::Severity::Error;
+        return Severity::Error;
     throw std::runtime_error("unknown severity: " + name);
 }
 
@@ -233,7 +233,7 @@ runLint(int argc, char **argv)
     double gamma = 0.7, beta = 0.35;
     int levels = 1, packing = 1 << 30, instances = 3;
     std::uint64_t seed = 7, calib_seed = 2020;
-    analysis::Severity fail_on = analysis::Severity::Warning;
+    Severity fail_on = Severity::Warning;
     bool check_ordering = false;
     std::vector<analysis::CrosstalkPair> crosstalk_pairs;
     hw::FaultSpec faults;
@@ -450,12 +450,11 @@ runLint(int argc, char **argv)
                     << ", \"esp\": " << fmt(r.esp, 6)
                     << ", \"coherence\": " << fmt(r.coherence, 6)
                     << ", \"errors\": "
-                    << r.findings.countSeverity(analysis::Severity::Error)
+                    << r.findings.count(Severity::Error)
                     << ", \"warnings\": "
-                    << r.findings.countSeverity(
-                           analysis::Severity::Warning)
+                    << r.findings.count(Severity::Warning)
                     << ", \"infos\": "
-                    << r.findings.countSeverity(analysis::Severity::Info)
+                    << r.findings.count(Severity::Info)
                     << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
             }
             std::cout << "]\n";
@@ -469,12 +468,10 @@ runLint(int argc, char **argv)
                           fmt(r.two_q, 2), fmt(r.swaps, 2),
                           fmt(r.exec_ns, 1), fmt(r.esp, 6),
                           fmt(r.coherence, 6),
-                          std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Error)),
-                          std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Warning)),
-                          std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Info))});
+                          std::to_string(r.findings.count(Severity::Error)),
+                          std::to_string(
+                              r.findings.count(Severity::Warning)),
+                          std::to_string(r.findings.count(Severity::Info))});
             if (format == "csv")
                 t.printCsv(std::cout);
             else
@@ -485,7 +482,7 @@ runLint(int argc, char **argv)
                 dirty = true;
             if (format == "text" && !r.findings.clean(fail_on)) {
                 std::cout << "\n" << r.method << " findings:\n";
-                r.findings.print(std::cout, false);
+                r.findings.print(std::cout, "lint");
             } else if (format == "text") {
                 std::cout << r.method << " lint: "
                           << r.findings.summary() << "\n";
