@@ -8,18 +8,20 @@
  *    and the generic dense-matrix fallback (U3), serial vs parallel,
  *    with the resulting speedup;
  *  - end-to-end optimizeP1 latency (grid + Nelder–Mead over exact
- *    expected cut) on a ring MaxCut instance.
+ *    expected cut) on a ring MaxCut instance.  The serial and parallel
+ *    optima (γ, β and the expected cut) must be equal bit for bit, or
+ *    the bench exits 1.
  *
  * "Serial" pins par::setThreadCount(1); "parallel" restores automatic
  * resolution (QAOA_THREADS or hardware_concurrency), so QAOA_THREADS=8
- * ./bench_statevector compares 1 vs 8 threads.  Amplitudes are
- * bit-identical on both paths — the bench checks a probe amplitude to
- * prove it.
+ * ./bench_statevector compares 1 vs 8 threads.  Results are
+ * bit-identical on both paths; the bench checks the optimizeP1 optima.
  *
  * Default sizes: 16/20 qubits (and optimizeP1 at 16); --full adds the
  * 24-qubit sweeps and optimizeP1 at 20.
  */
 
+#include <bit>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -35,6 +37,12 @@
 namespace {
 
 using namespace qaoa;
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /** One full sweep: the gate applied to every qubit in turn. */
 double
@@ -115,6 +123,7 @@ main(int argc, char **argv)
 
     Table opt({"qubits", "serial s", "parallel s", "speedup",
                "expected cut (serial)", "expected cut (parallel)"});
+    bool identical = true;
     for (int n : opt_sizes) {
         graph::Graph ring = graph::cycleGraph(n);
 
@@ -134,9 +143,16 @@ main(int argc, char **argv)
                                                 : 0.0, 2),
                     Table::num(serial.expected_cut, 6),
                     Table::num(parallel.expected_cut, 6)});
+        if (!sameBits(serial.expected_cut, parallel.expected_cut) ||
+            !sameBits(serial.gamma, parallel.gamma) ||
+            !sameBits(serial.beta, parallel.beta)) {
+            std::cerr << "optimizeP1 on a " << n
+                      << "-node ring: serial and parallel runs differ\n";
+            identical = false;
+        }
     }
     bench::emit(config, "optimizeP1 end-to-end latency", opt);
 
     par::setThreadCount(0);
-    return 0;
+    return identical ? 0 : 1;
 }

@@ -1,13 +1,17 @@
 #include "metrics/harness.hpp"
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <numbers>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "graph/maxcut.hpp"
+#include "metrics/cut_table.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/grid_search.hpp"
 #include "qaoa/problem.hpp"
@@ -35,6 +39,71 @@ generateConnected(int count, std::uint64_t seed, Generator make)
             out.push_back(std::move(g));
     }
     return out;
+}
+
+/** The weight every edge of @p problem carries, bit for bit; none for
+ *  an edgeless graph or mixed weights. */
+std::optional<double>
+uniformWeight(const graph::Graph &problem)
+{
+    if (problem.edges().empty())
+        return std::nullopt;
+    const double w = problem.edges().front().weight;
+    for (const graph::Edge &e : problem.edges())
+        if (std::bit_cast<std::uint64_t>(e.weight) !=
+            std::bit_cast<std::uint64_t>(w))
+            return std::nullopt;
+    return w;
+}
+
+/**
+ * exactExpectedCut() for a graph whose edges all weigh @p w, with the
+ * same floating-point operations as the gate-by-gate evaluation (see
+ * DESIGN §7): H^n leaves every amplitude at s = inv_sqrt2^n, and the
+ * CPHASEs of a level multiply amplitude z by P = e^{i·angle·w} once per
+ * cut edge, in edge order, and by 1 otherwise, which changes at most the
+ * sign of a zero.  So level 1 is the lookup T[k(z)] with
+ * T[k] = T[k-1]·P, later levels multiply by P k(z) times, and the cut
+ * value k·w is S[k] = S[k-1] + w, the additions graph::cutValue makes.
+ */
+template <typename Level>
+double
+diagonalExpectedCut(const graph::Graph &problem, double w,
+                    const std::vector<Level> &cuts,
+                    const std::vector<double> &gammas,
+                    const std::vector<double> &betas,
+                    const run::RunGuard *guard)
+{
+    const int n = problem.numNodes();
+    const std::size_t num_counts = problem.edges().size() + 1;
+    const core::CostHamiltonian cost = core::costHamiltonian(problem);
+    sim::Statevector state(n, guard);
+
+    const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
+    double s = 1.0;
+    for (int q = 0; q < n; ++q)
+        s = inv_sqrt2 * s;
+    std::vector<double> cut_value(num_counts, 0.0);
+    for (std::size_t k = 1; k < num_counts; ++k)
+        cut_value[k] = cut_value[k - 1] + w;
+
+    for (std::size_t level = 0; level < gammas.size(); ++level) {
+        const sim::Complex phase =
+            sim::expi(cost.levelAngle(gammas[level]) * w);
+        if (level == 0) {
+            std::vector<sim::Complex> amplitude(num_counts, {s, 0.0});
+            for (std::size_t k = 1; k < num_counts; ++k)
+                amplitude[k] = amplitude[k - 1] * phase;
+            state.loadByLevel(cuts, amplitude);
+        } else {
+            state.applyPhasePowers(cuts, phase);
+        }
+        circuit::Circuit mixer(n);
+        for (int q = 0; q < n; ++q)
+            mixer.add(circuit::Gate::rx(q, 2.0 * betas[level]));
+        state.apply(mixer);
+    }
+    return state.levelExpectation(cuts, cut_value);
 }
 
 } // namespace
@@ -120,6 +189,24 @@ exactExpectedCut(const graph::Graph &problem,
                  const std::vector<double> &betas,
                  const run::RunGuard *guard)
 {
+    if (const std::optional<double> w = uniformWeight(problem)) {
+        core::checkLevels(gammas, betas);
+        // The state and the table, checked before either is allocated.
+        const int n = problem.numNodes();
+        const std::uint64_t bytes = sim::Statevector::allocationBytes(n) +
+                                    cutCountBytes(n, problem.numEdges());
+        if (guard) {
+            guard->checkAllocation("diagonal QAOA evaluation", bytes);
+            guard->poll("cut-count table");
+        }
+        const std::shared_ptr<const CutCounts> cuts =
+            cachedCutCounts(problem);
+        return cuts->wide.empty()
+                   ? diagonalExpectedCut(problem, *w, cuts->narrow, gammas,
+                                         betas, guard)
+                   : diagonalExpectedCut(problem, *w, cuts->wide, gammas,
+                                         betas, guard);
+    }
     circuit::Circuit logical = core::buildQaoaCircuit(
         problem, gammas, betas, /*measure=*/false);
     sim::Statevector state(problem.numNodes(), guard);

@@ -65,9 +65,16 @@ MetricSeries compileSeries(const std::vector<graph::Graph> &instances,
  * QAOA circuit on the logical problem — computed from statevector
  * probabilities, no sampling error.
  *
- * A non-null @p guard caps the statevector allocation
- * (max_statevector_bytes) and bounds cancellation latency to one gate
- * application.
+ * When every edge carries the same weight (bit for bit), the value
+ * comes from the diagonal evaluation of DESIGN §7: a cached cut-count
+ * table (metrics/cut_table.hpp) instead of one pass per CPHASE, with a
+ * result bit-identical to the gate-by-gate evaluation that mixed-weight
+ * and edgeless graphs still take.
+ *
+ * A non-null @p guard caps the allocation (max_statevector_bytes: the
+ * statevector, plus the cut-count table on the diagonal path) and
+ * bounds cancellation latency to one gate application or diagonal
+ * pass.
  */
 double exactExpectedCut(const graph::Graph &problem,
                         const std::vector<double> &gammas,

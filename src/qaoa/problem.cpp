@@ -35,16 +35,23 @@ appendLevelTail(circuit::Circuit &c, const CostHamiltonian &cost,
                                 2.0 * beta));
 }
 
-circuit::Circuit
-buildQaoaCircuit(const CostHamiltonian &cost,
-                 const std::vector<double> &gammas,
-                 const std::vector<double> &betas, bool measure)
+void
+checkLevels(const std::vector<double> &gammas,
+            const std::vector<double> &betas)
 {
     QAOA_CHECK(gammas.size() == betas.size(),
                "need one (gamma, beta) pair per level; got "
                    << gammas.size() << " gammas and " << betas.size()
                    << " betas");
     QAOA_CHECK(!gammas.empty(), "QAOA needs at least one level");
+}
+
+circuit::Circuit
+buildQaoaCircuit(const CostHamiltonian &cost,
+                 const std::vector<double> &gammas,
+                 const std::vector<double> &betas, bool measure)
+{
+    checkLevels(gammas, betas);
 
     const int n = cost.num_qubits;
     std::vector<int> identity(static_cast<std::size_t>(n));

@@ -63,6 +63,10 @@ CostHamiltonian costHamiltonian(const graph::Graph &problem);
 void appendLevelTail(circuit::Circuit &c, const CostHamiltonian &cost,
                      double gamma, double beta, const std::vector<int> &wire);
 
+/** Throws unless there is at least one level and one β per γ. */
+void checkLevels(const std::vector<double> &gammas,
+                 const std::vector<double> &betas);
+
 /**
  * Builds the logical level-p QAOA circuit of @p cost: H on every
  * qubit, then per level the CPHASEs in cost.quadratic order,

@@ -11,12 +11,6 @@ namespace {
 
 constexpr Complex kI{0.0, 1.0};
 
-Complex
-expi(double phi)
-{
-    return {std::cos(phi), std::sin(phi)};
-}
-
 Matrix2
 u3Matrix(double theta, double phi, double lambda)
 {

@@ -11,6 +11,7 @@
 #define QAOA_SIM_GATE_MATRIX_HPP
 
 #include <array>
+#include <cmath>
 #include <complex>
 
 #include "circuit/gate.hpp"
@@ -20,6 +21,14 @@ namespace qaoa::sim {
 using Complex = std::complex<double>;
 using Matrix2 = std::array<Complex, 4>;  ///< 2x2, row-major.
 using Matrix4 = std::array<Complex, 16>; ///< 4x4, row-major.
+
+/** e^{i·phi} as (cos phi, sin phi): the phase of every RZ/U1/CPHASE
+ *  kernel and matrix, shared so each path computes it the same way. */
+inline Complex
+expi(double phi)
+{
+    return {std::cos(phi), std::sin(phi)};
+}
 
 /** 2x2 unitary of a single-qubit gate; throws for multi-qubit types. */
 Matrix2 gateMatrix1q(const circuit::Gate &g);
