@@ -18,7 +18,9 @@
  * guarded loop.
  *
  * Guard table (enforced limits):
- *   max_statevector_bytes  Statevector allocation (16 bytes/amplitude)
+ *   max_statevector_bytes  Statevector allocation (16 bytes/amplitude),
+ *                          plus the cut-count table on the diagonal
+ *                          QAOA path (metrics::exactExpectedCut)
  *   max_astar_expansions   A* node expansions per layer search
  *   max_router_swaps       SWAPs one routing run may insert (circuit
  *                          breaker against livelock-ish blowups)
