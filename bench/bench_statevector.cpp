@@ -7,6 +7,11 @@
  *    the diagonal fast path (CPHASE), a dedicated pair kernel (H/RX)
  *    and the generic dense-matrix fallback (U3), serial vs parallel,
  *    with the resulting speedup;
+ *  - the QAOA mixer, RX(2β) on every qubit, as n RX gates through
+ *    apply() and as one fused applyMixer() call, serial vs parallel.
+ *    Both paths start from the same state and apply the same mixers;
+ *    their final amplitudes must be equal bit for bit, or the bench
+ *    exits 1;
  *  - end-to-end optimizeP1 latency (grid + Nelder–Mead over exact
  *    expected cut) on a ring MaxCut instance.  The serial and parallel
  *    optima (γ, β and the expected cut) must be equal bit for bit, or
@@ -15,7 +20,8 @@
  * "Serial" pins par::setThreadCount(1); "parallel" restores automatic
  * resolution (QAOA_THREADS or hardware_concurrency), so QAOA_THREADS=8
  * ./bench_statevector compares 1 vs 8 threads.  Results are
- * bit-identical on both paths; the bench checks the optimizeP1 optima.
+ * bit-identical on both paths; the bench checks the mixer amplitudes
+ * and the optimizeP1 optima.
  *
  * Default sizes: 16/20 qubits (and optimizeP1 at 16); --full adds the
  * 24-qubit sweeps and optimizeP1 at 20.
@@ -62,6 +68,33 @@ sweepSeconds(sim::Statevector &state, const circuit::Gate &proto,
         }
     }
     return sw.seconds() / repeats;
+}
+
+/** One mixer per repeat, as n RX gates or as one applyMixer() call. */
+double
+mixerSeconds(sim::Statevector &state, bool fused, double beta, int repeats)
+{
+    Stopwatch sw;
+    for (int r = 0; r < repeats; ++r) {
+        if (fused) {
+            state.applyMixer(beta);
+        } else {
+            for (int q = 0; q < state.numQubits(); ++q)
+                state.apply(circuit::Gate::rx(q, 2.0 * beta));
+        }
+    }
+    return sw.seconds() / repeats;
+}
+
+bool
+sameAmplitudes(const sim::Statevector &a, const sim::Statevector &b)
+{
+    for (std::uint64_t z = 0; z < (1ULL << a.numQubits()); ++z) {
+        const sim::Complex x = a.amplitude(z), y = b.amplitude(z);
+        if (!sameBits(x.real(), y.real()) || !sameBits(x.imag(), y.imag()))
+            return false;
+    }
+    return true;
 }
 
 struct SweepRow
@@ -121,9 +154,44 @@ main(int argc, char **argv)
     }
     bench::emit(config, "single-gate sweep throughput", sweeps);
 
+    Table mixers({"qubits", "mixer", "serial ms/mixer",
+                  "parallel ms/mixer", "speedup"});
+    bool identical = true;
+    for (int n : sweep_sizes) {
+        const int repeats = n >= 24 ? 2 : (n >= 20 ? 4 : 16);
+        const double beta = 0.37;
+        // Distinct phases per qubit, so no amplitude pair is symmetric.
+        sim::Statevector start(n);
+        for (int q = 0; q < n; ++q) {
+            start.apply(circuit::Gate::h(q));
+            start.apply(circuit::Gate::rz(q, 0.1 * (q + 1)));
+        }
+        sim::Statevector gates = start, fused = start;
+        for (sim::Statevector *state : {&gates, &fused}) {
+            const bool is_fused = state == &fused;
+            par::setThreadCount(1);
+            const double serial = mixerSeconds(*state, is_fused, beta,
+                                               repeats);
+            par::setThreadCount(0);
+            const double parallel = mixerSeconds(*state, is_fused, beta,
+                                                 repeats);
+            mixers.addRow({Table::num(static_cast<long long>(n)),
+                           is_fused ? "applyMixer" : "n rx gates",
+                           Table::num(serial * 1e3),
+                           Table::num(parallel * 1e3),
+                           Table::num(parallel > 0.0 ? serial / parallel
+                                                     : 0.0, 2)});
+        }
+        if (!sameAmplitudes(gates, fused)) {
+            std::cerr << "mixer at " << n
+                      << " qubits: applyMixer and the RX gates differ\n";
+            identical = false;
+        }
+    }
+    bench::emit(config, "mixer: n RX gates vs one applyMixer", mixers);
+
     Table opt({"qubits", "serial s", "parallel s", "speedup",
                "expected cut (serial)", "expected cut (parallel)"});
-    bool identical = true;
     for (int n : opt_sizes) {
         graph::Graph ring = graph::cycleGraph(n);
 

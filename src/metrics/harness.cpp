@@ -65,6 +65,7 @@ uniformWeight(const graph::Graph &problem)
  * sign of a zero.  So level 1 is the lookup T[k(z)] with
  * T[k] = T[k-1]·P, later levels multiply by P k(z) times, and the cut
  * value k·w is S[k] = S[k-1] + w, the additions graph::cutValue makes.
+ * Each mixer is Statevector::applyMixer(), the RX(2β) gates' operations.
  */
 template <typename Level>
 double
@@ -76,7 +77,6 @@ diagonalExpectedCut(const graph::Graph &problem, double w,
 {
     const int n = problem.numNodes();
     const std::size_t num_counts = problem.edges().size() + 1;
-    const core::CostHamiltonian cost = core::costHamiltonian(problem);
     sim::Statevector state(n, guard);
 
     const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
@@ -88,8 +88,9 @@ diagonalExpectedCut(const graph::Graph &problem, double w,
         cut_value[k] = cut_value[k - 1] + w;
 
     for (std::size_t level = 0; level < gammas.size(); ++level) {
+        // costHamiltonian(problem).levelAngle(γ)·w, as the CPHASEs get it.
         const sim::Complex phase =
-            sim::expi(cost.levelAngle(gammas[level]) * w);
+            sim::expi(core::kMaxCutAngleScale * gammas[level] * w);
         if (level == 0) {
             std::vector<sim::Complex> amplitude(num_counts, {s, 0.0});
             for (std::size_t k = 1; k < num_counts; ++k)
@@ -98,10 +99,7 @@ diagonalExpectedCut(const graph::Graph &problem, double w,
         } else {
             state.applyPhasePowers(cuts, phase);
         }
-        circuit::Circuit mixer(n);
-        for (int q = 0; q < n; ++q)
-            mixer.add(circuit::Gate::rx(q, 2.0 * betas[level]));
-        state.apply(mixer);
+        state.applyMixer(betas[level]);
     }
     return state.levelExpectation(cuts, cut_value);
 }

@@ -19,7 +19,8 @@ costOperations(const graph::Graph &problem)
 CostHamiltonian
 costHamiltonian(const graph::Graph &problem)
 {
-    return {problem.numNodes(), costOperations(problem), {}, 1.0};
+    return {problem.numNodes(), costOperations(problem), {},
+            kMaxCutAngleScale};
 }
 
 void
@@ -77,7 +78,8 @@ buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
                  const std::vector<double> &gammas,
                  const std::vector<double> &betas, bool measure)
 {
-    return buildQaoaCircuit(CostHamiltonian{num_qubits, cost_ops, {}, 1.0},
+    return buildQaoaCircuit(CostHamiltonian{num_qubits, cost_ops, {},
+                                            kMaxCutAngleScale},
                             gammas, betas, measure);
 }
 

@@ -33,6 +33,9 @@ struct ZZOp
 /** Cost-Hamiltonian operations of a MaxCut instance (one per edge). */
 std::vector<ZZOp> costOperations(const graph::Graph &problem);
 
+/** The level-angle scale of a MaxCut cost: CPHASE(γ·weight) per edge. */
+inline constexpr double kMaxCutAngleScale = 1.0;
+
 /**
  * A cost Hamiltonian as the compiler consumes it (§VI): every quadratic
  * term becomes CPHASE(angle_scale·γ·weight) and every non-zero linear
@@ -45,7 +48,7 @@ struct CostHamiltonian
     int num_qubits = 0;          ///< Logical qubits (spins / nodes).
     std::vector<ZZOp> quadratic; ///< CPHASE terms, in emission order.
     std::vector<double> linear;  ///< h per qubit; empty = none.
-    double angle_scale = 1.0;    ///< 1 for MaxCut, 2 for Ising.
+    double angle_scale = kMaxCutAngleScale; ///< 1 for MaxCut, 2 for Ising.
 
     /** The level angle that multiplies every term's coefficient. */
     double levelAngle(double gamma) const { return angle_scale * gamma; }

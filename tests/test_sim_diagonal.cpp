@@ -8,13 +8,16 @@
  * serial sum of probability times graph::cutValue().  Every comparison
  * is EXPECT_EQ: the optimizer's path depends on the exact values, so
  * agreement within a tolerance is not enough.  Also covered: the
- * cut-count table itself, the kernels at both table widths, the guard's
- * allocation cap and cancellation, and the table cache's keying.
+ * cut-count table itself, the kernels at both table widths, the fused
+ * mixer against the RX gate kernel (bit patterns, so the sign of every
+ * zero counts), the guard's allocation cap and cancellation, and the
+ * table cache's keying.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <numbers>
 #include <vector>
@@ -225,6 +228,82 @@ TEST(SimDiagonal, KernelsAgreeAtBothTableWidths)
         ASSERT_EQ(a.amplitude(z), b.amplitude(z)) << "z=" << z;
     EXPECT_EQ(a.levelExpectation(table.narrow, value),
               b.levelExpectation(wide, value));
+}
+
+/** Sets @p state to @p amps through loadByLevel() with level[z] = z. */
+void
+loadAmplitudes(sim::Statevector &state, const std::vector<sim::Complex> &amps)
+{
+    std::vector<std::uint16_t> index(amps.size());
+    for (std::size_t z = 0; z < amps.size(); ++z)
+        index[z] = static_cast<std::uint16_t>(z);
+    state.loadByLevel(index, amps);
+}
+
+/** Every amplitude of @p a and @p b has the same bits, zero signs too. */
+::testing::AssertionResult
+sameBits(const sim::Statevector &a, const sim::Statevector &b)
+{
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::uint64_t z = 0; z < (1ULL << a.numQubits()); ++z) {
+        const sim::Complex x = a.amplitude(z), y = b.amplitude(z);
+        if (bits(x.real()) != bits(y.real()) ||
+            bits(x.imag()) != bits(y.imag()))
+            return ::testing::AssertionFailure()
+                   << "amplitude " << z << ": " << x << " vs " << y;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(SimDiagonal, FusedMixerMatchesRxGatesBitForBit)
+{
+    // n = 1..14 covers registers inside one mixer block (n <= 11), across
+    // blocks, and past par::kSerialCutoff (n = 14), where the 2- and
+    // 8-thread runs really split.
+    Rng rng(15);
+    for (int n = 1; n <= 14; ++n) {
+        const std::size_t size = std::size_t{1} << n;
+        std::vector<std::vector<sim::Complex>> states;
+        // A seeded random normalized state.
+        std::vector<sim::Complex> random(size);
+        double norm = 0.0;
+        for (sim::Complex &a : random) {
+            a = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+            norm += std::norm(a);
+        }
+        for (sim::Complex &a : random)
+            a /= std::sqrt(norm);
+        states.push_back(random);
+        // Basis states whose zero components carry seeded signs.
+        for (const sim::Complex one : {sim::Complex{1.0, 0.0},
+                                       sim::Complex{-0.0, -1.0}}) {
+            std::vector<sim::Complex> basis(size);
+            for (sim::Complex &a : basis)
+                a = {rng.bernoulli(0.5) ? -0.0 : 0.0,
+                     rng.bernoulli(0.5) ? -0.0 : 0.0};
+            basis[rng.index(size)] = one;
+            states.push_back(basis);
+        }
+        for (const std::vector<sim::Complex> &amps : states)
+            for (const double beta :
+                 {0.0, pi / 2, -pi / 2, rng.uniformReal(-pi, pi)}) {
+                par::setThreadCount(1);
+                sim::Statevector gates(n);
+                loadAmplitudes(gates, amps);
+                for (int q = 0; q < n; ++q)
+                    gates.apply(circuit::Gate::rx(q, 2.0 * beta));
+                for (int threads : {1, 2, 8}) {
+                    par::setThreadCount(threads);
+                    sim::Statevector fused(n);
+                    loadAmplitudes(fused, amps);
+                    fused.applyMixer(beta);
+                    EXPECT_TRUE(sameBits(fused, gates))
+                        << "n=" << n << " beta=" << beta
+                        << " threads=" << threads;
+                }
+            }
+    }
+    par::setThreadCount(0);
 }
 
 TEST(SimDiagonal, AllocationCapCountsStateAndTable)
