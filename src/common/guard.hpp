@@ -14,8 +14,10 @@
  * which would otherwise dominate tight A* expansion loops; the
  * watchdog-overhead bar in bench_resilience (<2%) depends on this
  * decimation.  Deadline expiry is therefore detected within
- * kDeadlineStride polls, which is far below a millisecond in every
- * guarded loop.
+ * kDeadlineStride polls: far below a millisecond in the compile loops,
+ * but up to kDeadlineStride whole statevector passes in the simulator,
+ * which polls once per pass (the diagonal QAOA path: once per table
+ * lookup, level load or phase pass, and mixer).
  *
  * Guard table (enforced limits):
  *   max_statevector_bytes  Statevector allocation (16 bytes/amplitude),
