@@ -17,13 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/esp.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "hardware/devices.hpp"
 #include "hardware/faults.hpp"
 #include "metrics/harness.hpp"
 #include "qaoa/api.hpp"
-#include "sim/success.hpp"
 
 namespace {
 
@@ -89,8 +89,9 @@ main(int argc, char **argv)
                     }
                     depth_sum += r.report.depth;
                     gates_sum += r.report.gate_count;
-                    prob_sum += sim::successProbability(
-                        r.compiled, inj.calibration());
+                    prob_sum += analysis::estimateEsp(
+                                    r.compiled, inj.calibration())
+                                    .total;
                 }
             }
             const int compiled = ok + degraded;

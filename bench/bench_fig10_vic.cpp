@@ -15,7 +15,7 @@
 #include "common/stats.hpp"
 #include "hardware/devices.hpp"
 #include "metrics/harness.hpp"
-#include "sim/success.hpp"
+#include "analysis/esp.hpp"
 
 namespace {
 
@@ -37,7 +37,7 @@ meanSuccessRatio(const std::vector<graph::Graph> &instances,
             opts.seed = seed;
             transpiler::CompileResult r =
                 core::compileQaoaMaxcut(g, melbourne, opts);
-            double sp = sim::successProbability(r.compiled, calib);
+            double sp = analysis::estimateEsp(r.compiled, calib).total;
             (m == core::Method::Vic ? vic_sp : ic_sp).push_back(sp);
         }
     }

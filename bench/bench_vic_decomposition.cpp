@@ -18,7 +18,7 @@
 #include "metrics/harness.hpp"
 #include "qaoa/incremental.hpp"
 #include "qaoa/qaim.hpp"
-#include "sim/success.hpp"
+#include "analysis/esp.hpp"
 
 namespace {
 
@@ -50,7 +50,7 @@ meanSuccess(const std::vector<graph::Graph> &instances,
             ops, melbourne, layout, 0.7, iopts);
 
         // Score the cost layer itself (H/mixer are method-independent).
-        acc.add(sim::successProbability(inc.physical, calib));
+        acc.add(analysis::estimateEsp(inc.physical, calib).total);
     }
     return acc.mean();
 }

@@ -17,7 +17,7 @@
 #include "metrics/harness.hpp"
 #include "qaoa/api.hpp"
 #include "sim/noise.hpp"
-#include "sim/success.hpp"
+#include "analysis/esp.hpp"
 
 int
 main()
@@ -47,7 +47,7 @@ main()
         transpiler::CompileResult r =
             core::compileQaoaMaxcut(problem, melbourne, opts);
 
-        double sp = sim::successProbability(r.compiled, calib);
+        double sp = analysis::estimateEsp(r.compiled, calib).total;
 
         Rng sample_rng(17);
         sim::Counts ideal =

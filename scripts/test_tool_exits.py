@@ -121,6 +121,26 @@ class TestCompileExits(ToolExitTestCase):
             proc = run(COMPILE, "--graph", graph, "--device", "linear4")
             self.assertExit(proc, 0)
 
+    def test_fault_lists_use_the_wire_syntax(self):
+        # The list flags parse like the daemon's dead_qubits and
+        # disabled_edges fields: an empty item is a usage error, an
+        # empty list means none.
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = os.path.join(tmp, "g.txt")
+            with open(graph, "w", encoding="utf-8") as fh:
+                fh.write("4\n0 1\n1 2\n2 3\n3 0\n")
+            base = ("--graph", graph, "--device", "linear6")
+            for flag, value in (("--dead-qubits", "3,,5"),
+                                ("--dead-qubits", "5,"),
+                                ("--disable-edges", "0-1,,4-5")):
+                proc = run(COMPILE, *base, flag, value)
+                self.assertExit(proc, 2)
+                self.assertIn("empty item", proc.stderr)
+            for flag in ("--dead-qubits", "--disable-edges"):
+                proc = run(COMPILE, *base, flag, "")
+                self.assertExit(proc, 0)
+                self.assertIn("status:       ok", proc.stdout)
+
 
 def main():
     global QBIN, COMPILE

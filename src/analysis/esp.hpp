@@ -10,8 +10,8 @@
  * the loss.  Two-qubit gates split their success rate sqrt-evenly across
  * both operands so the per-qubit factors multiply back to the total.
  *
- * This is the one ESP model of the codebase; sim/success.hpp forwards
- * here for backwards compatibility.
+ * This is the one ESP model of the codebase: estimateEsp(...).total is
+ * the success probability every tool, bench and simulator reads.
  */
 
 #ifndef QAOA_ANALYSIS_ESP_HPP
@@ -61,8 +61,8 @@ struct EspBreakdown
 /**
  * Computes the ESP breakdown of @p physical under @p calib.
  *
- * The total is accumulated in gate order, so it matches the historical
- * sim::successProbability() value bit-for-bit.
+ * The total is accumulated in gate order: bit for bit the in-order
+ * product of (1 - gateErrorRate(g)).
  */
 EspBreakdown estimateEsp(const circuit::Circuit &physical,
                          const hw::CalibrationData &calib);

@@ -122,6 +122,24 @@ regularInstances(int n, int k, int count, std::uint64_t seed)
     });
 }
 
+std::vector<graph::Graph>
+fig11Instances(int n, int count, std::uint64_t seed)
+{
+    std::vector<graph::Graph> pool;
+    for (int i = 0; i < 6; ++i) {
+        double p = 0.1 + 0.1 * i;
+        for (auto &g : erdosRenyiInstances(
+                 n, p, count, seed + static_cast<std::uint64_t>(i)))
+            pool.push_back(std::move(g));
+    }
+    for (int k = 3; k <= 8; ++k) {
+        for (auto &g : regularInstances(
+                 n, k, count, seed + 100 + static_cast<std::uint64_t>(k)))
+            pool.push_back(std::move(g));
+    }
+    return pool;
+}
+
 MetricSeries
 compileSeries(const std::vector<graph::Graph> &instances,
               const hw::CouplingMap &map, core::QaoaCompileOptions opts)

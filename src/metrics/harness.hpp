@@ -27,6 +27,16 @@ std::vector<graph::Graph> erdosRenyiInstances(int n, double p, int count,
 std::vector<graph::Graph> regularInstances(int n, int k, int count,
                                            std::uint64_t seed);
 
+/**
+ * The scaled Fig. 11 pool: @p count @p n-node instances of each of
+ * G(n, p) for p in {0.1, ..., 0.6} (seed + i for the i-th p) and of
+ * k-regular for k in 3..8 (seed + 100 + k).  The paper uses n = 20;
+ * smaller devices scale n down, keeping it even so every k-regular
+ * family exists.
+ */
+std::vector<graph::Graph> fig11Instances(int n, int count,
+                                         std::uint64_t seed);
+
 /** Per-instance metric vectors for one (method, instance set) run. */
 struct MetricSeries
 {

@@ -19,8 +19,10 @@
 #ifndef QAOA_SERVE_REQUEST_HPP
 #define QAOA_SERVE_REQUEST_HPP
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -94,16 +96,42 @@ void requestToRecord(const CompileRequest &request, kv::Record &out);
 tryRequestFromRecord(const kv::Record &record, int max_nodes = 64);
 
 /**
- * The hardware view a request compiles against.  Owns the base device,
- * its calibration, and (when the request injects faults) the
- * FaultInjector holding the degraded map — kept alive together because
- * QaoaCompileOptions points into them.  Not copyable or movable (the
- * calibration points at the owned map); makeEnvironment() returns it
- * behind a unique_ptr.
+ * Parses a comma-separated qubit list ("3,7,12"), as the wire's
+ * dead_qubits field: "" is the empty list; an empty item ("3,,7", or a
+ * trailing comma) throws.
+ */
+[[nodiscard]] std::vector<int> parseQubitList(const std::string &text);
+
+/**
+ * Parses a comma-separated coupling list ("0-1,4-5"), as the wire's
+ * disabled_edges field: "" is the empty list; an empty inner item
+ * ("0-1,,4-5") or an item not of the form a-b throws.
+ */
+[[nodiscard]] std::vector<std::pair<int, int>>
+parseCouplingList(const std::string &text);
+
+/** Builds the calibration of a base (healthy) device. */
+using CalibrationFactory =
+    std::function<hw::CalibrationData(const hw::CouplingMap &)>;
+
+/**
+ * The hardware view a request compiles against: the one place a device
+ * name, its calibration and a fault spec become a map, a calibration, a
+ * usable mask and a degraded flag, for the daemon and the CLIs alike.
+ * Owns the base device, its calibration, and (when the request injects
+ * faults) the FaultInjector holding the degraded map — kept alive
+ * together because QaoaCompileOptions points into them.  Not copyable
+ * or movable (the calibration points at the owned map); makeEnvironment()
+ * returns it behind a unique_ptr.
+ *
+ * @p base_calibration builds the healthy device's calibration; the
+ * default is the daemon's (hw::defaultCalibration).
  */
 struct RequestEnvironment
 {
-    explicit RequestEnvironment(const CompileRequest &request);
+    explicit RequestEnvironment(
+        const CompileRequest &request,
+        const CalibrationFactory &base_calibration = hw::defaultCalibration);
 
     RequestEnvironment(const RequestEnvironment &) = delete;
     RequestEnvironment &operator=(const RequestEnvironment &) = delete;
@@ -125,11 +153,15 @@ struct RequestEnvironment
     {
         return injector ? injector->calibration() : base_calib;
     }
+
+    /** Qubits placement may use (the surviving component when faulty). */
+    int usableQubits() const;
 };
 
 /** Builds the hardware view of @p request (resolves device + faults). */
-std::unique_ptr<RequestEnvironment>
-makeEnvironment(const CompileRequest &request);
+std::unique_ptr<RequestEnvironment> makeEnvironment(
+    const CompileRequest &request,
+    const CalibrationFactory &base_calibration = hw::defaultCalibration);
 
 /**
  * Builds the QaoaCompileOptions encoding @p request against @p env.

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/success.hpp"
+#include "analysis/esp.hpp"
 
 namespace qaoa::sim {
 
@@ -76,7 +76,7 @@ noisySample(const circuit::Circuit &physical,
             if (g.type == circuit::GateType::MEASURE ||
                 g.type == circuit::GateType::BARRIER)
                 continue;
-            double err = gateErrorRate(g, calib);
+            double err = analysis::gateErrorRate(g, calib);
             if (err > 0.0 && rng.bernoulli(err)) {
                 if (g.arity() == 2)
                     randomPauli2q(state, g.q0, g.q1, rng);

@@ -19,7 +19,6 @@
 #include "graph/generators.hpp"
 #include "hardware/devices.hpp"
 #include "qaoa/api.hpp"
-#include "sim/success.hpp"
 
 namespace qaoa::analysis {
 namespace {
@@ -250,8 +249,10 @@ TEST(Timing, CalibrationT1T2Used)
     EXPECT_NEAR(t.coherence[1], std::exp(-50.0 / 70000.0), 1e-12);
 }
 
-TEST(Esp, MatchesSimSuccessProbabilityBitForBit)
+TEST(Esp, TotalIsInOrderProductOfGateSuccessRates)
 {
+    // §II success probability: the product of (1 - gate error) over the
+    // gates in program order, bit for bit.
     hw::CouplingMap tokyo = hw::ibmqTokyo20();
     Rng crng(2020);
     hw::CalibrationData calib = hw::randomCalibration(tokyo, crng);
@@ -264,8 +265,10 @@ TEST(Esp, MatchesSimSuccessProbabilityBitForBit)
     transpiler::CompileResult r = core::compileQaoaMaxcut(g, tokyo, opts);
     ASSERT_TRUE(r.ok());
 
-    EspBreakdown esp = estimateEsp(r.compiled, calib);
-    EXPECT_EQ(esp.total, sim::successProbability(r.compiled, calib));
+    double product = 1.0;
+    for (const Gate &g : r.compiled.gates())
+        product *= 1.0 - gateErrorRate(g, calib);
+    EXPECT_EQ(estimateEsp(r.compiled, calib).total, product);
 }
 
 TEST(Esp, AttributionFactorsMultiplyBackToTotal)

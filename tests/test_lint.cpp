@@ -313,16 +313,8 @@ TEST(Lint, Fig11EspOrderingAcrossMethods)
     Rng crng(2020);
     hw::CalibrationData calib = hw::randomCalibration(tokyo, crng);
 
-    std::vector<graph::Graph> pool;
-    for (int i = 0; i < 6; ++i)
-        for (auto &g : metrics::erdosRenyiInstances(
-                 20, 0.1 + 0.1 * i, 1,
-                 2020 + static_cast<std::uint64_t>(i)))
-            pool.push_back(std::move(g));
-    for (int k = 3; k <= 8; ++k)
-        for (auto &g : metrics::regularInstances(
-                 20, k, 1, 2120 + static_cast<std::uint64_t>(k)))
-            pool.push_back(std::move(g));
+    const std::vector<graph::Graph> pool =
+        metrics::fig11Instances(20, 1, 2020);
 
     const core::Method ranked[] = {core::Method::Naive, core::Method::Ip,
                                    core::Method::Ic, core::Method::Vic};

@@ -71,6 +71,22 @@ TEST(Harness, InstanceGeneratorsDeterministic)
         EXPECT_EQ(a[i].numEdges(), b[i].numEdges());
 }
 
+TEST(Harness, Fig11PoolIsSixErAndSixRegularClasses)
+{
+    const int n = 12, count = 2;
+    const std::uint64_t seed = 40;
+    auto pool = fig11Instances(n, count, seed);
+    ASSERT_EQ(pool.size(), 12u * count);
+    auto er3 = erdosRenyiInstances(n, 0.1 + 0.1 * 3, count, seed + 3);
+    auto reg5 = regularInstances(n, 5, count, seed + 105);
+    for (int i = 0; i < count; ++i) {
+        EXPECT_EQ(pool[3 * count + i].edges(), er3[i].edges());
+        EXPECT_EQ(pool[(6 + 5 - 3) * count + i].edges(), reg5[i].edges());
+    }
+    for (const auto &g : pool)
+        EXPECT_EQ(g.numNodes(), n);
+}
+
 TEST(Harness, CompileSeriesShapes)
 {
     hw::CouplingMap melbourne = hw::ibmqMelbourne15();

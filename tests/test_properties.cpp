@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 
+#include "analysis/esp.hpp"
 #include "circuit/decompose.hpp"
 #include "circuit/layers.hpp"
 #include "graph/generators.hpp"
@@ -19,7 +20,6 @@
 #include "qaoa/api.hpp"
 #include "qaoa/ip.hpp"
 #include "sim/statevector.hpp"
-#include "sim/success.hpp"
 
 namespace qaoa {
 namespace {
@@ -126,7 +126,7 @@ TEST(Properties, SuccessProbabilityMonotoneInGates)
     for (int i = 0; i < 30; ++i) {
         int a = rng.uniformInt(0, 2); // coupled neighbor is a+1
         c.add(i % 3 == 0 ? Gate::h(a) : Gate::cnot(a, a + 1));
-        double sp = sim::successProbability(c, calib);
+        double sp = analysis::estimateEsp(c, calib).total;
         EXPECT_LT(sp, last);
         last = sp;
     }

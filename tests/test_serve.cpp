@@ -415,6 +415,55 @@ TEST(RequestTest, DecoderRejectsEmptyItemsInLists)
         << "empty item inside an edge list";
 }
 
+TEST(RequestTest, ListParsersAreTheWireDecoders)
+{
+    EXPECT_TRUE(serve::parseQubitList("").empty());
+    EXPECT_EQ(serve::parseQubitList("3,7,12"), (std::vector<int>{3, 7, 12}));
+    EXPECT_THROW((void)serve::parseQubitList("3,,7"), std::runtime_error);
+    EXPECT_THROW((void)serve::parseQubitList("3,7,"), std::runtime_error);
+
+    using Edges = std::vector<std::pair<int, int>>;
+    EXPECT_TRUE(serve::parseCouplingList("").empty());
+    EXPECT_EQ(serve::parseCouplingList("0-1,4-5"), (Edges{{0, 1}, {4, 5}}));
+    EXPECT_EQ(serve::parseCouplingList("0-1,"), (Edges{{0, 1}}))
+        << "the wire's edge list ignores a trailing comma";
+    EXPECT_THROW((void)serve::parseCouplingList("0-1,,4-5"),
+                 std::runtime_error);
+    EXPECT_THROW((void)serve::parseCouplingList("0-"), std::runtime_error);
+    EXPECT_THROW((void)serve::parseCouplingList("-1"), std::runtime_error);
+}
+
+TEST(RequestTest, EnvironmentTakesTheBaseCalibrationFromTheFactory)
+{
+    serve::CompileRequest request = smallRequest();
+    request.device = "melbourne";
+    const auto daemon = serve::makeEnvironment(request);
+    const hw::CalibrationData fig10a =
+        hw::melbourneCalibration(daemon->base_map);
+    EXPECT_EQ(daemon->calibration().cnotError(0, 1), fig10a.cnotError(0, 1));
+
+    const auto uniform = serve::makeEnvironment(
+        request, [](const hw::CouplingMap &m) {
+            return hw::CalibrationData(m);
+        });
+    const hw::CalibrationData plain(uniform->base_map);
+    EXPECT_EQ(uniform->calibration().cnotError(0, 1), plain.cnotError(0, 1));
+    EXPECT_NE(uniform->calibration().cnotError(0, 1), fig10a.cnotError(0, 1));
+    EXPECT_EQ(uniform->usableQubits(), uniform->base_map.numQubits());
+
+    // Faults degrade the factory's calibration, not the default one.
+    request.faults.dead_qubits = {3};
+    request.faults.drift_multiplier = 2.0;
+    const auto faulty = serve::makeEnvironment(
+        request, [](const hw::CouplingMap &m) {
+            return hw::CalibrationData(m);
+        });
+    ASSERT_NE(faulty->injector, nullptr);
+    EXPECT_EQ(faulty->calibration().cnotError(0, 1),
+              2.0 * plain.cnotError(0, 1));
+    EXPECT_LT(faulty->usableQubits(), faulty->base_map.numQubits());
+}
+
 // ---------------------------------------------------------- protocol --
 
 TEST(ProtocolTest, FramesRoundTripAndEofIsClean)

@@ -1,11 +1,11 @@
-/** @file Tests for the success-probability metric (§II). */
+/** @file Tests for the success-probability metric (§II): analysis/esp. */
 
 #include <gtest/gtest.h>
 
 #include "hardware/devices.hpp"
-#include "sim/success.hpp"
+#include "analysis/esp.hpp"
 
-namespace qaoa::sim {
+namespace qaoa::analysis {
 namespace {
 
 using circuit::Circuit;
@@ -36,14 +36,14 @@ TEST(SuccessProbability, ProductFormula)
     c.add(Gate::h(0));        // 0.99
     c.add(Gate::cnot(0, 1));  // 0.90
     c.add(Gate::measure(0, 0)); // 0.95
-    EXPECT_NEAR(successProbability(c, calib), 0.99 * 0.90 * 0.95, 1e-12);
+    EXPECT_NEAR(estimateEsp(c, calib).total, 0.99 * 0.90 * 0.95, 1e-12);
 }
 
 TEST(SuccessProbability, EmptyCircuitIsCertain)
 {
     hw::CouplingMap lin = hw::linearDevice(2);
     hw::CalibrationData calib(lin);
-    EXPECT_DOUBLE_EQ(successProbability(Circuit(2), calib), 1.0);
+    EXPECT_DOUBLE_EQ(estimateEsp(Circuit(2), calib).total, 1.0);
 }
 
 TEST(SuccessProbability, MoreGatesLowerSuccess)
@@ -55,8 +55,8 @@ TEST(SuccessProbability, MoreGatesLowerSuccess)
         small.add(Gate::cnot(0, 1));
     for (int i = 0; i < 10; ++i)
         large.add(Gate::cnot(0, 1));
-    EXPECT_GT(successProbability(small, calib),
-              successProbability(large, calib));
+    EXPECT_GT(estimateEsp(small, calib).total,
+              estimateEsp(large, calib).total);
 }
 
 TEST(SuccessProbability, ReliableEdgesBeatUnreliable)
@@ -68,8 +68,8 @@ TEST(SuccessProbability, ReliableEdgesBeatUnreliable)
     Circuit good(3), bad(3);
     good.add(Gate::cphase(0, 1, 0.5));
     bad.add(Gate::cphase(1, 2, 0.5));
-    EXPECT_GT(successProbability(good, calib),
-              successProbability(bad, calib));
+    EXPECT_GT(estimateEsp(good, calib).total,
+              estimateEsp(bad, calib).total);
 }
 
 TEST(SuccessProbability, U1sAreFree)
@@ -79,8 +79,8 @@ TEST(SuccessProbability, U1sAreFree)
     Circuit c(2);
     for (int i = 0; i < 50; ++i)
         c.add(Gate::u1(0, 0.1));
-    EXPECT_DOUBLE_EQ(successProbability(c, calib), 1.0);
+    EXPECT_DOUBLE_EQ(estimateEsp(c, calib).total, 1.0);
 }
 
 } // namespace
-} // namespace qaoa::sim
+} // namespace qaoa::analysis

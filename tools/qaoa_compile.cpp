@@ -49,28 +49,27 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/esp.hpp"
 #include "circuit/qasm.hpp"
 #include "circuit/qbin.hpp"
 #include "common/error.hpp"
 #include "common/guard.hpp"
 #include "opt/checkpoint.hpp"
 #include "graph/io.hpp"
-#include "hardware/devices.hpp"
-#include "hardware/faults.hpp"
 #include "metrics/harness.hpp"
 #include "qaoa/api.hpp"
 #include "qaoa/presets.hpp"
 #include "qaoa/problem.hpp"
-#include "sim/success.hpp"
+#include "serve/request.hpp"
 #include "verify/verifier.hpp"
 
 namespace {
@@ -127,60 +126,27 @@ usage()
            "exists\n";
 }
 
-/** Parses "3,7,12" into a list of qubit indices. */
-std::vector<int>
-parseQubitList(const std::string &text)
+/**
+ * --preset: the method and peephole flag of optimization level o0..o3
+ * (core::presetMethod with calibration available).
+ */
+void
+applyPreset(const std::string &preset, serve::CompileRequest &request)
 {
-    std::vector<int> qubits;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            qubits.push_back(std::stoi(item));
-    if (qubits.empty())
-        throw std::runtime_error("empty qubit list: " + text);
-    return qubits;
-}
-
-/** Parses "0-1,4-5" into a list of couplings. */
-std::vector<std::pair<int, int>>
-parseEdgeList(const std::string &text)
-{
-    std::vector<std::pair<int, int>> edges;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
+    static const char *const kNames[] = {"o0", "o1", "o2", "o3"};
+    for (int l = 0; l < 4; ++l) {
+        if (preset != kNames[l])
             continue;
-        std::size_t dash = item.find('-');
-        if (dash == std::string::npos || dash == 0 ||
-            dash + 1 >= item.size())
-            throw std::runtime_error("bad edge (want a-b): " + item);
-        edges.emplace_back(std::stoi(item.substr(0, dash)),
-                           std::stoi(item.substr(dash + 1)));
+        const auto level = static_cast<core::OptimizationLevel>(l);
+        std::string method =
+            core::methodName(core::presetMethod(level, true));
+        std::transform(method.begin(), method.end(), method.begin(),
+                       [](unsigned char c) { return std::tolower(c); });
+        request.method = method;
+        request.peephole = level == core::OptimizationLevel::O3;
+        return;
     }
-    if (edges.empty())
-        throw std::runtime_error("empty edge list: " + text);
-    return edges;
-}
-
-/** Scaled Fig. 11 instance pool (same classes as qaoa_lint). */
-std::vector<graph::Graph>
-fig11Workload(int n, int count, std::uint64_t seed)
-{
-    std::vector<graph::Graph> pool;
-    for (int i = 0; i < 6; ++i) {
-        double p = 0.1 + 0.1 * i;
-        for (auto &g : metrics::erdosRenyiInstances(
-                 n, p, count, seed + static_cast<std::uint64_t>(i)))
-            pool.push_back(std::move(g));
-    }
-    for (int k = 3; k <= 8; ++k) {
-        for (auto &g : metrics::regularInstances(
-                 n, k, count, seed + 100 + static_cast<std::uint64_t>(k)))
-            pool.push_back(std::move(g));
-    }
-    return pool;
+    throw std::runtime_error("unknown preset: " + preset);
 }
 
 /** Prints the retry-ladder flight record of one compile. */
@@ -200,21 +166,18 @@ printStages(const transpiler::CompileResult &r)
 int
 runCompile(int argc, char **argv)
 {
-    std::string graph_path, method = "ic", device = "melbourne",
-                qasm_path, qbin_path, preset, workload, checkpoint_path;
+    // Every compile input the wire carries goes into the request; the
+    // device view and the options come from serve::, as for qaoa_serve.
+    serve::CompileRequest req;
+    std::string graph_path, qasm_path, qbin_path, preset, workload,
+        checkpoint_path;
     double gamma = 0.7, beta = 0.35;
-    double timeout_ms = -1.0, stage_budget_ms = -1.0;
-    int levels = 1, packing = 1 << 30, instances = 3;
-    std::uint64_t seed = 7;
-    bool decompose = true;
-    bool peephole = false;
-    bool fallbacks = true;
+    int levels = 1, instances = 3;
     bool run_verify = false;
     bool verify_strict = false;
     bool verify_csv = false;
     bool optimize_p1 = false;
     bool resume = false;
-    hw::FaultSpec faults;
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&](const char *flag) -> std::string {
@@ -227,9 +190,9 @@ runCompile(int argc, char **argv)
             if (!std::strcmp(argv[i], "--graph"))
                 graph_path = next("--graph");
             else if (!std::strcmp(argv[i], "--method"))
-                method = next("--method");
+                req.method = next("--method");
             else if (!std::strcmp(argv[i], "--device"))
-                device = next("--device");
+                req.device = next("--device");
             else if (!std::strcmp(argv[i], "--gamma"))
                 gamma = std::stod(next("--gamma"));
             else if (!std::strcmp(argv[i], "--beta"))
@@ -237,41 +200,41 @@ runCompile(int argc, char **argv)
             else if (!std::strcmp(argv[i], "--levels"))
                 levels = std::stoi(next("--levels"));
             else if (!std::strcmp(argv[i], "--packing"))
-                packing = std::stoi(next("--packing"));
+                req.packing_limit = std::stoi(next("--packing"));
             else if (!std::strcmp(argv[i], "--seed"))
-                seed = std::stoull(next("--seed"));
+                req.seed = std::stoull(next("--seed"));
             else if (!std::strcmp(argv[i], "--qasm"))
                 qasm_path = next("--qasm");
             else if (!std::strcmp(argv[i], "--qbin"))
                 qbin_path = next("--qbin");
             else if (!std::strcmp(argv[i], "--no-decompose"))
-                decompose = false;
+                req.decompose = false;
             else if (!std::strcmp(argv[i], "--peephole"))
-                peephole = true;
+                req.peephole = true;
             else if (!std::strcmp(argv[i], "--preset"))
                 preset = next("--preset");
             else if (!std::strcmp(argv[i], "--fault-edge-rate"))
-                faults.edge_fault_rate =
+                req.faults.edge_fault_rate =
                     std::stod(next("--fault-edge-rate"));
             else if (!std::strcmp(argv[i], "--fault-qubit-rate"))
-                faults.qubit_fault_rate =
+                req.faults.qubit_fault_rate =
                     std::stod(next("--fault-qubit-rate"));
             else if (!std::strcmp(argv[i], "--fault-seed"))
-                faults.seed = std::stoull(next("--fault-seed"));
+                req.faults.seed = std::stoull(next("--fault-seed"));
             else if (!std::strcmp(argv[i], "--dead-qubits"))
-                faults.dead_qubits =
-                    parseQubitList(next("--dead-qubits"));
+                req.faults.dead_qubits =
+                    serve::parseQubitList(next("--dead-qubits"));
             else if (!std::strcmp(argv[i], "--disable-edges"))
-                faults.disabled_edges =
-                    parseEdgeList(next("--disable-edges"));
+                req.faults.disabled_edges =
+                    serve::parseCouplingList(next("--disable-edges"));
             else if (!std::strcmp(argv[i], "--drift"))
-                faults.drift_multiplier = std::stod(next("--drift"));
+                req.faults.drift_multiplier = std::stod(next("--drift"));
             else if (!std::strcmp(argv[i], "--no-fallbacks"))
-                fallbacks = false;
+                req.allow_fallbacks = false;
             else if (!std::strcmp(argv[i], "--timeout-ms"))
-                timeout_ms = std::stod(next("--timeout-ms"));
+                req.timeout_ms = std::stod(next("--timeout-ms"));
             else if (!std::strcmp(argv[i], "--stage-budget"))
-                stage_budget_ms = std::stod(next("--stage-budget"));
+                req.stage_budget_ms = std::stod(next("--stage-budget"));
             else if (!std::strcmp(argv[i], "--workload"))
                 workload = next("--workload");
             else if (!std::strcmp(argv[i], "--instances"))
@@ -320,8 +283,8 @@ runCompile(int argc, char **argv)
         // monotonic deadline shared by every compile/optimizer step.
         const run::CancelToken token;
         const run::Deadline deadline =
-            timeout_ms >= 0.0 ? run::Deadline::afterMs(timeout_ms)
-                              : run::Deadline::never();
+            req.timeout_ms >= 0.0 ? run::Deadline::afterMs(req.timeout_ms)
+                                  : run::Deadline::never();
         const run::RunGuard guard(token, deadline);
 
         if (optimize_p1) {
@@ -348,63 +311,18 @@ runCompile(int argc, char **argv)
             }
         }
 
-        hw::CouplingMap base_map = hw::deviceByName(device);
-        hw::CalibrationData base_calib =
-            base_map.name() == "ibmq_16_melbourne"
-                ? hw::melbourneCalibration(base_map)
-                : hw::CalibrationData(base_map);
-
-        // With faults, compile against the degraded view: the injector
-        // owns the degraded map and its calibration, and usable() keeps
-        // placement inside the largest surviving component.
-        std::optional<hw::FaultInjector> injector;
-        if (!faults.empty())
-            injector.emplace(base_map, faults, &base_calib);
-        const hw::CouplingMap &map =
-            injector ? injector->map() : base_map;
-        const hw::CalibrationData &calib =
-            injector ? injector->calibration() : base_calib;
-
-        core::QaoaCompileOptions opts;
-        opts.method = core::methodFromName(method);
-        if (!preset.empty()) {
-            core::OptimizationLevel level;
-            if (preset == "o0")
-                level = core::OptimizationLevel::O0;
-            else if (preset == "o1")
-                level = core::OptimizationLevel::O1;
-            else if (preset == "o2")
-                level = core::OptimizationLevel::O2;
-            else if (preset == "o3")
-                level = core::OptimizationLevel::O3;
-            else
-                throw std::runtime_error("unknown preset: " + preset);
-            opts.method = core::presetMethod(level, true);
-            peephole = level == core::OptimizationLevel::O3;
-        }
-        opts.gammas.assign(static_cast<std::size_t>(levels), gamma);
-        opts.betas.assign(static_cast<std::size_t>(levels), beta);
-        opts.packing_limit = packing;
-        opts.seed = seed;
-        opts.calibration = &calib;
-        opts.decompose_to_basis = decompose;
-        opts.peephole = peephole;
-        opts.allow_fallbacks = fallbacks;
-        if (injector) {
-            opts.allowed_qubits = &injector->usable();
-            opts.device_degraded = !injector->deadQubits().empty() ||
-                                   !injector->disabledEdges().empty();
-        }
+        if (!preset.empty())
+            applyPreset(preset, req);
+        req.gammas.assign(static_cast<std::size_t>(levels), gamma);
+        req.betas.assign(static_cast<std::size_t>(levels), beta);
+        const std::unique_ptr<serve::RequestEnvironment> env =
+            serve::makeEnvironment(req);
+        const hw::CouplingMap &map = env->map();
+        core::QaoaCompileOptions opts = serve::makeOptions(req, *env);
         opts.guard = &guard;
-        opts.stage_budget_ms = stage_budget_ms;
 
         if (!workload.empty()) {
-            int usable = map.numQubits();
-            if (injector) {
-                usable = 0;
-                for (char c : injector->usable())
-                    usable += c ? 1 : 0;
-            }
+            const int usable = env->usableQubits();
             int n = std::min(20, usable);
             n -= n % 2; // k-regular families in k=3..8 need n*k even
             if (n < 10) {
@@ -414,7 +332,7 @@ runCompile(int argc, char **argv)
                 return 2;
             }
             std::vector<graph::Graph> pool =
-                fig11Workload(n, instances, seed);
+                metrics::fig11Instances(n, instances, req.seed);
             metrics::MetricSeries series =
                 metrics::compileSeries(pool, map, opts);
             int ok = 0, timed_out = 0, other = 0;
@@ -456,8 +374,8 @@ runCompile(int argc, char **argv)
                   << "\n"
                   << "status:       " << transpiler::statusName(r.status)
                   << "\n";
-        if (injector)
-            for (const std::string &note : injector->notes())
+        if (env->injector)
+            for (const std::string &note : env->injector->notes())
                 std::cout << "fault:        " << note << "\n";
         for (const std::string &d : r.diagnostics)
             std::cout << "note:         " << d << "\n";
@@ -478,7 +396,9 @@ runCompile(int argc, char **argv)
                   << "compile time: " << r.report.compile_seconds * 1e3
                   << " ms\n"
                   << "success prob: "
-                  << sim::successProbability(r.compiled, calib) << "\n";
+                  << analysis::estimateEsp(r.compiled, env->calibration())
+                         .total
+                  << "\n";
 
         if (!qasm_path.empty()) {
             std::ofstream out(qasm_path);
@@ -514,10 +434,13 @@ runCompile(int argc, char **argv)
         }
 
         if (run_verify) {
+            const core::CostHamiltonian cost =
+                core::costHamiltonian(problem);
             std::vector<verify::ZZTerm> expected;
             for (double g : opts.gammas)
-                for (const core::ZZOp &op : core::costOperations(problem))
-                    expected.push_back({op.a, op.b, g * op.weight});
+                for (const core::ZZOp &op : cost.quadratic)
+                    expected.push_back(
+                        {op.a, op.b, cost.levelAngle(g) * op.weight});
 
             verify::VerifySpec spec;
             spec.map = &map;
@@ -526,7 +449,7 @@ runCompile(int argc, char **argv)
             spec.expected_final = r.final_layout.logToPhys();
             spec.expected_interactions = &expected;
             spec.lift_basis = false; // r.physical holds high-level gates
-            spec.ignore_zero_interactions = peephole;
+            spec.ignore_zero_interactions = opts.peephole;
             verify::VerifyReport report =
                 verify::verifyCircuit(r.physical, spec);
             report.print(std::cout, "verification", verify_csv);
