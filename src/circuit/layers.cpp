@@ -1,42 +1,32 @@
 #include "circuit/layers.hpp"
 
-#include <algorithm>
-
 namespace qaoa::circuit {
 
 std::vector<std::vector<std::size_t>>
 asapLayers(const Circuit &circuit)
 {
-    std::vector<std::vector<std::size_t>> layers;
-    // Earliest free layer per qubit.
-    std::vector<std::size_t> ready(
-        static_cast<std::size_t>(circuit.numQubits()), 0);
+    std::vector<std::vector<std::size_t>> layers(
+        static_cast<std::size_t>(layerCount(circuit)));
+    forEachAsapLayer(circuit, [&](std::size_t gi, int layer) {
+        if (circuit.gates()[gi].type != GateType::BARRIER)
+            layers[static_cast<std::size_t>(layer)].push_back(gi);
+    });
+    return layers;
+}
 
-    const auto &gates = circuit.gates();
-    for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-        const Gate &g = gates[gi];
-        if (g.type == GateType::BARRIER) {
-            std::size_t frontier = layers.size();
-            std::fill(ready.begin(), ready.end(), frontier);
-            continue;
-        }
-        std::size_t slot = ready[static_cast<std::size_t>(g.q0)];
-        if (g.arity() == 2)
-            slot = std::max(slot, ready[static_cast<std::size_t>(g.q1)]);
-        if (slot >= layers.size())
-            layers.resize(slot + 1);
-        layers[slot].push_back(gi);
-        ready[static_cast<std::size_t>(g.q0)] = slot + 1;
-        if (g.arity() == 2)
-            ready[static_cast<std::size_t>(g.q1)] = slot + 1;
-    }
+std::vector<int>
+gateLayers(const Circuit &circuit)
+{
+    std::vector<int> layers(circuit.gates().size());
+    forEachAsapLayer(circuit,
+                     [&](std::size_t gi, int layer) { layers[gi] = layer; });
     return layers;
 }
 
 int
 layerCount(const Circuit &circuit)
 {
-    return static_cast<int>(asapLayers(circuit).size());
+    return forEachAsapLayer(circuit, [](std::size_t, int) {});
 }
 
 Circuit

@@ -11,6 +11,7 @@
 
 #include "circuit/commutation.hpp"
 #include "circuit/gate.hpp"
+#include "circuit/layers.hpp"
 #include "common/error.hpp"
 
 namespace qaoa::verify {
@@ -154,48 +155,11 @@ struct Walker
     }
 };
 
-} // namespace
-
-std::vector<int>
-gateLayers(const Circuit &circuit)
-{
-    std::vector<int> frontier(
-        static_cast<std::size_t>(circuit.numQubits()), 0);
-    std::vector<int> layers;
-    layers.reserve(circuit.gates().size());
-    int barrier_level = 0;
-    for (const Gate &g : circuit.gates()) {
-        if (g.type == GateType::BARRIER) {
-            int level = barrier_level;
-            for (int f : frontier)
-                level = std::max(level, f);
-            barrier_level = level;
-            std::fill(frontier.begin(), frontier.end(), level);
-            layers.push_back(level);
-            continue;
-        }
-        int level = barrier_level;
-        level = std::max(level, frontier[static_cast<std::size_t>(
-                                    std::clamp(g.q0, 0,
-                                               circuit.numQubits() - 1))]);
-        if (g.arity() == 2)
-            level = std::max(
-                level, frontier[static_cast<std::size_t>(std::clamp(
-                           g.q1, 0, circuit.numQubits() - 1))]);
-        layers.push_back(level);
-        frontier[static_cast<std::size_t>(
-            std::clamp(g.q0, 0, circuit.numQubits() - 1))] = level + 1;
-        if (g.arity() == 2)
-            frontier[static_cast<std::size_t>(
-                std::clamp(g.q1, 0, circuit.numQubits() - 1))] = level + 1;
-    }
-    return layers;
-}
-
+/** replayToLogical() with the gateLayers() of @p physical given. */
 ReplayResult
-replayToLogical(const Circuit &physical,
-                const std::vector<int> &initial_log_to_phys,
-                bool lift_basis, VerifyReport &report)
+replayOnLayers(const Circuit &physical,
+               const std::vector<int> &initial_log_to_phys, bool lift_basis,
+               const std::vector<int> &layers, VerifyReport &report)
 {
     const int num_physical = physical.numQubits();
     const int num_logical = static_cast<int>(initial_log_to_phys.size());
@@ -213,7 +177,6 @@ replayToLogical(const Circuit &physical,
         phys_to_log[static_cast<std::size_t>(p)] = l;
     }
 
-    const std::vector<int> layers = gateLayers(physical);
     Walker walker{physical, layers, report, std::move(phys_to_log),
                   std::vector<char>(static_cast<std::size_t>(num_physical),
                                     0)};
@@ -313,6 +276,17 @@ replayToLogical(const Circuit &physical,
             out.final_log_to_phys[static_cast<std::size_t>(l)] = p;
     }
     return out;
+}
+
+} // namespace
+
+ReplayResult
+replayToLogical(const Circuit &physical,
+                const std::vector<int> &initial_log_to_phys,
+                bool lift_basis, VerifyReport &report)
+{
+    return replayOnLayers(physical, initial_log_to_phys, lift_basis,
+                          circuit::gateLayers(physical), report);
 }
 
 namespace {
@@ -470,12 +444,12 @@ VerifyReport
 verifyCircuit(const Circuit &physical, const VerifySpec &spec)
 {
     VerifyReport report;
-    const std::vector<int> layers = gateLayers(physical);
+    const std::vector<int> layers = circuit::gateLayers(physical);
 
     checkHardwareConformance(physical, spec, layers, report);
 
-    ReplayResult replay = replayToLogical(
-        physical, spec.initial_log_to_phys, spec.lift_basis, report);
+    ReplayResult replay = replayOnLayers(physical, spec.initial_log_to_phys,
+                                         spec.lift_basis, layers, report);
 
     if (!spec.expected_final.empty()) {
         if (spec.expected_final.size() != replay.final_log_to_phys.size()) {

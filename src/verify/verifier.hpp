@@ -170,10 +170,6 @@ verifyRouted(const circuit::Circuit &logical,
 void checkReorder(const circuit::Circuit &reference,
                   const circuit::Circuit &observed, VerifyReport &report);
 
-/** ASAP layer of every gate (BARRIER advances all qubits, occupies no
- *  layer and gets the layer it closes); used for diagnostic locations. */
-[[nodiscard]] std::vector<int> gateLayers(const circuit::Circuit &circuit);
-
 } // namespace qaoa::verify
 
 #endif // QAOA_VERIFY_VERIFIER_HPP

@@ -163,8 +163,8 @@ TEST(AsapLayers, GatesScheduleAfterTheirOperandsSeeded)
 
 TEST(AsapLayers, AgreesWithCircuitDagSeeded)
 {
-    // asapLayers() and the analysis CircuitDag compute layers with
-    // independent sweeps; they must agree gate by gate.
+    // asapLayers(), gateLayers(), depth() and the analysis CircuitDag
+    // all read forEachAsapLayer(); their views must agree gate by gate.
     Rng rng(25);
     for (int trial = 0; trial < 10; ++trial) {
         Circuit c(5);
@@ -179,11 +179,15 @@ TEST(AsapLayers, AgreesWithCircuitDagSeeded)
         }
         analysis::CircuitDag dag(c);
         auto layers = asapLayers(c);
+        const std::vector<int> per_gate = gateLayers(c);
         EXPECT_EQ(dag.layerCount(), static_cast<int>(layers.size()));
+        EXPECT_EQ(c.depth(), static_cast<int>(layers.size()));
         for (std::size_t li = 0; li < layers.size(); ++li)
-            for (std::size_t gi : layers[li])
+            for (std::size_t gi : layers[li]) {
                 EXPECT_EQ(dag.layerOf(static_cast<int>(gi)),
                           static_cast<int>(li));
+                EXPECT_EQ(per_gate[gi], static_cast<int>(li));
+            }
     }
 }
 

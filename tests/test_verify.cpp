@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "circuit/decompose.hpp"
+#include "circuit/layers.hpp"
 #include "hardware/devices.hpp"
 #include "verify/verifier.hpp"
 
@@ -128,6 +129,15 @@ TEST(GateLayers, AsapLayersMatchDepthSemantics)
     EXPECT_EQ(layers[2], 1);
     EXPECT_EQ(layers[3], 0);
     EXPECT_EQ(layers[4], 2);
+
+    // A BARRIER gets the layer it closes; later gates start there.
+    c.add(Gate::barrier());     // closes layers 0..2
+    c.add(Gate::h(0));          // layer 3
+    layers = gateLayers(c);
+    ASSERT_EQ(layers.size(), 7u);
+    EXPECT_EQ(layers[5], 3);
+    EXPECT_EQ(layers[6], 3);
+    EXPECT_EQ(c.depth(), 4);
 }
 
 TEST(Replay, TracksSwapsAndInteractions)
